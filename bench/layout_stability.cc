@@ -90,10 +90,11 @@ main()
 
         // Scatter everything (a fresh static layout ignores history).
         viva::support::Rng rng(7);
-        for (auto id : fresh.layoutGraph().liveNodeIds()) {
+        for (std::size_t i = 0; i < fresh.layoutGraph().nodeCount(); ++i) {
             fresh.mutableLayoutGraph().setPosition(
-                id, {rng.uniform(-extent, extent),
-                     rng.uniform(-extent, extent)});
+                viva::layout::NodeId::fromIndex(i),
+                {rng.uniform(-extent, extent),
+                 rng.uniform(-extent, extent)});
         }
         fresh.stabilizeLayout(600).value();
         auto after =

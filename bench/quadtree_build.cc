@@ -1,14 +1,12 @@
 /**
  * @file
- * Microbenchmarks of the Barnes-Hut quadtree's two build paths and two
- * query paths at the paper's 2170-host scale (Grid'5000) and beyond:
+ * Microbenchmarks of the Barnes-Hut quadtree at the paper's 2170-host
+ * scale (Grid'5000) and beyond:
  *
- *  - incremental insert() into a fresh tree (the historical path: one
- *    allocation burst per cell, top-down point sifting);
- *  - the arena batch build() (Morton sort + bottom-up emission into
- *    the persistent SoA arena -- the per-iteration path of the force
- *    layout), both cold (fresh tree) and warm (arena reused);
- *  - forceAt with and without the caller-owned traversal stack.
+ *  - build() (Morton sort + preorder emission into the packed arena --
+ *    the per-iteration path of the force layout), both cold (fresh
+ *    tree) and warm (arena reused);
+ *  - the stackless forceAt walk.
  */
 
 #include <benchmark/benchmark.h>
@@ -37,21 +35,6 @@ makeBodies(std::size_t n)
                            rng.uniform(0.0, extent)},
                           rng.uniform(0.5, 4.0)});
     return bodies;
-}
-
-void
-BM_QuadTreeBuildIncremental(benchmark::State &state)
-{
-    std::size_t n = std::size_t(state.range(0));
-    std::vector<QuadTree::Body> bodies = makeBodies(n);
-    double extent = 50.0 * std::sqrt(double(n));
-    for (auto _ : state) {
-        QuadTree tree({-1.0, -1.0}, {extent + 1.0, extent + 1.0});
-        for (const auto &b : bodies)
-            tree.insert(b.position, b.charge);
-        benchmark::DoNotOptimize(tree.cellCount());
-    }
-    state.SetComplexityN(state.range(0));
 }
 
 void
@@ -86,7 +69,7 @@ BM_QuadTreeBuildArenaWarm(benchmark::State &state)
 }
 
 void
-BM_QuadTreeForceAllocating(benchmark::State &state)
+BM_QuadTreeForce(benchmark::State &state)
 {
     std::size_t n = std::size_t(state.range(0));
     std::vector<QuadTree::Body> bodies = makeBodies(n);
@@ -101,33 +84,13 @@ BM_QuadTreeForceAllocating(benchmark::State &state)
     }
 }
 
-void
-BM_QuadTreeForceScratch(benchmark::State &state)
-{
-    std::size_t n = std::size_t(state.range(0));
-    std::vector<QuadTree::Body> bodies = makeBodies(n);
-    double extent = 50.0 * std::sqrt(double(n));
-    QuadTree tree;
-    tree.build({-1.0, -1.0}, {extent + 1.0, extent + 1.0}, bodies);
-    QuadTree::TraversalStack scratch;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            tree.forceAt(bodies[i].position, 0.8, scratch));
-        i = (i + 1) % bodies.size();
-    }
-}
-
 } // namespace
 
 // 2170 is the paper's Grid'5000 host count.
-BENCHMARK(BM_QuadTreeBuildIncremental)
-    ->Arg(512)->Arg(2170)->Arg(8192)->Complexity();
 BENCHMARK(BM_QuadTreeBuildArenaCold)
     ->Arg(512)->Arg(2170)->Arg(8192)->Complexity();
 BENCHMARK(BM_QuadTreeBuildArenaWarm)
     ->Arg(512)->Arg(2170)->Arg(8192)->Complexity();
-BENCHMARK(BM_QuadTreeForceAllocating)->Arg(2170);
-BENCHMARK(BM_QuadTreeForceScratch)->Arg(2170);
+BENCHMARK(BM_QuadTreeForce)->Arg(2170);
 
 BENCHMARK_MAIN();

@@ -22,6 +22,12 @@
  * surface (load / save / checkpoint / restore / layout / render): no
  * operation may crash, every rejection must carry a contextful error,
  * and the session must come back healthy once the storm passes.
+ *
+ * A third phase drives the Grid'5000 session through a long seeded mix
+ * of cut gestures, moves and layout steps and asserts bounded growth:
+ * the layout graph holds exactly one node per visible container after
+ * every gesture, and each return to the host-level view lands on the
+ * same working set it started from.
  */
 
 #include <sys/types.h>
@@ -41,6 +47,8 @@
 #include "agg/timeslice.hh"
 #include "app/checkpoint.hh"
 #include "app/session.hh"
+#include "platform/builders.hh"
+#include "platform/platform_trace.hh"
 #include "support/error.hh"
 #include "support/fault.hh"
 #include "support/random.hh"
@@ -313,6 +321,79 @@ runFaultStormPhase(const Options &opt)
     return 0;
 }
 
+/** The bounded-growth phase. @return 0 on success, 1 on failure */
+int
+runGrowthPhase(const Options &opt)
+{
+    vt::Trace grid_trace;
+    viva::platform::mirrorPlatform(viva::platform::makeGrid5000(),
+                                   grid_trace);
+    vap::Session s(std::move(grid_trace));
+    s.setThreads(2);
+    const std::uint64_t host_level = s.workingSetBytes();
+    const std::size_t host_nodes = s.layoutGraph().nodeCount();
+
+    const char *sites[] = {"lyon", "nancy", "rennes", "sophia"};
+    const char *clusters[] = {"sagittaire", "gdx", "graphene",
+                              "paramount", "azur"};
+    vs::Rng rng(opt.seed);
+    const std::size_t gestures = 400;
+    for (std::size_t i = 0; i < gestures; ++i) {
+        bool ok = true;
+        switch (rng.index(6)) {
+        case 0:
+            ok = s.focus(clusters[rng.index(5)]);
+            break;
+        case 1:
+            ok = s.aggregate(sites[rng.index(4)]);
+            break;
+        case 2:
+            ok = s.disaggregate(sites[rng.index(4)]);
+            break;
+        case 3:
+            s.aggregateToDepth(std::uint16_t(1 + rng.index(3)));
+            break;
+        case 4:
+            // The move target may be hidden by the current cut.
+            (void)s.moveNode(sites[rng.index(4)], rng.uniform(-500, 500),
+                             rng.uniform(-500, 500));
+            break;
+        default:
+            ok = s.stepLayout(2).ok();
+            break;
+        }
+        if (!ok)
+            return fail("growth", i, "gesture failed");
+        const viva::layout::LayoutGraph &g = s.layoutGraph();
+        if (g.rawNodes().size() != g.nodeCount() ||
+            g.nodeCount() != s.cut().visibleCount())
+            return fail("growth", i,
+                        std::to_string(g.rawNodes().size()) +
+                            " layout slots for " +
+                            std::to_string(s.cut().visibleCount()) +
+                            " visible containers");
+        if (i % 20 == 19) {
+            s.resetAggregation();
+            if (s.layoutGraph().nodeCount() != host_nodes ||
+                s.workingSetBytes() != host_level)
+                return fail("growth", i,
+                            "working set " +
+                                std::to_string(s.workingSetBytes()) +
+                                " after a reset, " +
+                                std::to_string(host_level) +
+                                " at the start");
+        }
+    }
+    if (!s.auditInvariants().empty())
+        return fail("growth", gestures, "invariant audit failed");
+
+    std::printf("bounded growth: %zu gestures, %zu layout nodes at host "
+                "level, working set flat at %llu bytes\n",
+                gestures, host_nodes,
+                static_cast<unsigned long long>(host_level));
+    return 0;
+}
+
 } // namespace
 
 int
@@ -359,6 +440,9 @@ main(int argc, char **argv)
     if (rc != 0)
         return rc;
     rc = runFaultStormPhase(opt);
+    if (rc != 0)
+        return rc;
+    rc = runGrowthPhase(opt);
     if (rc != 0)
         return rc;
     std::printf("soak_session PASS\n");

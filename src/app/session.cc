@@ -167,16 +167,15 @@ Session::stateDigest() const
     // in cut preorder, which need not match the insertion history of
     // the session that wrote the checkpoint -- the digest must agree
     // whenever the observable state (key, position, velocity) does.
-    std::vector<const layout::Node *> alive;
-    alive.reserve(graph.nodeCount());
+    std::vector<const layout::Node *> by_key;
+    by_key.reserve(graph.nodeCount());
     for (const layout::Node &n : graph.rawNodes())
-        if (n.alive)
-            alive.push_back(&n);
-    std::sort(alive.begin(), alive.end(),
+        by_key.push_back(&n);
+    std::sort(by_key.begin(), by_key.end(),
               [](const layout::Node *a, const layout::Node *b) {
                   return a->key < b->key;
               });
-    for (const layout::Node *n : alive) {
+    for (const layout::Node *n : by_key) {
         mix(n->key);
         mixDouble(n->position.x);
         mixDouble(n->position.y);
@@ -340,15 +339,14 @@ Session::syncLayout()
         ++ring_index;
     }
 
-    // Remove nodes that left the view, in node-id order (the snapshot
-    // is an unordered map; walking it would make the removal order
-    // nondeterministic).
+    // Every edge is re-derived below, so drop them before the
+    // removals: the compaction then has no edges to renumber.
+    graph.clearEdges();
     std::vector<layout::NodeId> to_remove;
     for (const layout::Node &n : graph.rawNodes())
-        if (n.alive && !desired_set.count(n.key))
+        if (!desired_set.count(n.key))
             to_remove.push_back(n.id);
-    for (layout::NodeId node_id : to_remove)
-        graph.removeNode(node_id);
+    graph.removeNodes(to_remove);
 
     // Insert the new nodes.
     for (const auto &[id, pos] : to_add) {
@@ -359,7 +357,6 @@ Session::syncLayout()
 
     // Refresh charges of surviving aggregates (cut may have changed the
     // leaves they cover) and rebuild the visible edges.
-    graph.clearEdges();
     for (ContainerId id : desired) {
         layout::NodeId n = graph.findKey(id.value());
         graph.setCharge(n, double(std::max<std::size_t>(
@@ -798,7 +795,7 @@ Session::workingSetBytes() const
     bytes += std::uint64_t(tr.pointCount()) * 16;
     bytes += std::uint64_t(tr.states().size()) * 64;
     bytes += std::uint64_t(tr.relations().size()) * 16;
-    // The shed-able part scales with the cut: layout slots plus the
+    // The shed-able part scales with the cut: layout nodes plus the
     // aggregated view (one row of every referenced metric per visible
     // node) the interactive loop keeps rebuilding.
     bytes += std::uint64_t(graph.rawNodes().size()) *
@@ -871,12 +868,9 @@ Session::checkpoint(const std::string &path) const
     image.sliders = typeScaling.touchedSliders();
     image.memBudgetBytes = memBudgetBytes;
     image.opDeadlineNanos = opDeadlineNanos;
-    for (const layout::Node &n : graph.rawNodes()) {
-        if (!n.alive)
-            continue;
+    for (const layout::Node &n : graph.rawNodes())
         image.nodes.push_back({n.key, n.position.x, n.position.y,
                                n.velocity.x, n.velocity.y, n.pinned});
-    }
     // Sorted by key so the same observable state always serializes to
     // the same bytes, whatever insertion history produced it.
     std::sort(image.nodes.begin(), image.nodes.end(),

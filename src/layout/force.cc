@@ -64,7 +64,7 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
     std::vector<Vec2> &force = forceBuf;
 
     // The repulsion pass writes only force[i] from the chunk owning
-    // slot i, so fanning chunks over workers is race-free and bitwise
+    // node i, so fanning chunks over workers is race-free and bitwise
     // identical to the serial loop regardless of thread count.
     const std::size_t threads =
         prm.threads ? prm.threads : support::defaultThreadCount();
@@ -101,8 +101,6 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
         // Bounding box, padded so the tree never degenerates.
         Vec2 lo{1e300, 1e300}, hi{-1e300, -1e300};
         for (const Node &n : nodes) {
-            if (!n.alive)
-                continue;
             lo.x = std::min(lo.x, n.position.x);
             lo.y = std::min(lo.y, n.position.y);
             hi.x = std::max(hi.x, n.position.x);
@@ -113,8 +111,7 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
         // arena and the body list keep their capacity across steps.
         bodies.clear();
         for (const Node &n : nodes)
-            if (n.alive)
-                bodies.push_back({n.position, n.charge});
+            bodies.push_back({n.position, n.charge});
         tree.build({lo.x - pad, lo.y - pad}, {hi.x + pad, hi.y + pad},
                    bodies);
         pool.parallelFor(
@@ -123,19 +120,13 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
                 obs::ScopedPhase chunk_timer(chunk_phase);
                 if (expired())
                     return;
-                // One pooled traversal stack per chunk: forceAt does
-                // zero heap allocation once capacities have warmed up.
-                auto stack = stacks.acquire();
                 for (std::size_t i = clo; i < chi; ++i) {
                     const Node &n = nodes[i];
-                    if (!n.alive)
-                        continue;
                     // forceAt excludes the coincident self charge; the
                     // result is the field, scale by this node's own
                     // charge.
-                    Vec2 field =
-                        tree.forceAt(n.position, prm.theta, *stack);
-                    force[n.id.index()] += field * (prm.charge * n.charge);
+                    Vec2 field = tree.forceAt(n.position, prm.theta);
+                    force[i] += field * (prm.charge * n.charge);
                 }
             });
     } else {
@@ -147,16 +138,14 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
                     return;
                 for (std::size_t i = clo; i < chi; ++i) {
                     const Node &a = nodes[i];
-                    if (!a.alive)
-                        continue;
                     for (const Node &b : nodes) {
-                        if (!b.alive || b.id == a.id)
+                        if (b.id == a.id)
                             continue;
                         Vec2 d = a.position - b.position;
                         double dist = d.norm();
                         if (dist < 1e-9)
                             continue;
-                        force[a.id.index()] +=
+                        force[i] +=
                             d * (prm.charge * a.charge * b.charge /
                                  (dist * dist * dist));
                     }
@@ -168,10 +157,9 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
     // Serial and gated on anyArmed() so production runs pay one relaxed
     // atomic load; injected NaNs exercise the integration watchdog below.
     if (support::FaultInjector::global().anyArmed()) {
-        for (const Node &n : nodes) {
-            if (n.alive && support::faultAt("layout.force.nan"))
-                force[n.id.index()] =
-                    Vec2{std::numeric_limits<double>::quiet_NaN(),
+        for (Vec2 &f : force) {
+            if (support::faultAt("layout.force.nan"))
+                f = Vec2{std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::quiet_NaN()};
         }
     }
@@ -182,8 +170,6 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
     if (expired())
         return abortError();
     for (const Edge &e : g.rawEdges()) {
-        if (!e.alive || !nodes[e.a.index()].alive || !nodes[e.b.index()].alive)
-            continue;
         Vec2 d = nodes[e.b.index()].position - nodes[e.a.index()].position;
         double dist = d.norm();
         if (dist < 1e-9)
@@ -207,7 +193,7 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
     // repulsion pass.
     double energy = 0.0;
     for (Node &n : nodes) {
-        if (!n.alive || n.pinned)
+        if (n.pinned)
             continue;
         Vec2 vel = (n.velocity + force[n.id.index()] * dt) * prm.damping;
         Vec2 move = vel * dt;
@@ -292,8 +278,7 @@ ForceLayout::kineticEnergy() const
 {
     double energy = 0.0;
     for (const Node &n : g.rawNodes())
-        if (n.alive)
-            energy += n.velocity.norm2();
+        energy += n.velocity.norm2();
     return energy;
 }
 

@@ -16,7 +16,6 @@
 #include "layout/graph.hh"
 #include "layout/quadtree.hh"
 #include "support/error.hh"
-#include "support/scratch.hh"
 
 namespace viva::layout
 {
@@ -171,12 +170,10 @@ class ForceLayout
 
     // Per-iteration scratch, reused across steps so a steady-state
     // iteration performs no heap allocation: the quadtree arena, the
-    // body list fed to its batch build, the force accumulator, and a
-    // pool of traversal stacks (one per in-flight repulsion chunk).
+    // body list fed to its build, and the force accumulator.
     QuadTree tree;
     std::vector<QuadTree::Body> bodies;
     std::vector<Vec2> forceBuf;
-    support::ScratchPool<QuadTree::TraversalStack> stacks;
 };
 
 } // namespace viva::layout

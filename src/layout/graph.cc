@@ -17,57 +17,72 @@ LayoutGraph::addNode(std::uint64_t key, Vec2 position, double charge)
     VIVA_ASSERT(keyIndex.find(key) == keyIndex.end(),
                 "duplicate layout key ", key);
     Node n;
-    n.id = NodeId(nodes.size());
+    n.id = NodeId::fromIndex(nodes.size());
     n.key = key;
     n.position = position;
     n.charge = charge;
     nodes.push_back(n);
     keyIndex.emplace(key, n.id);
-    ++liveNodes;
     return n.id;
 }
 
 void
-LayoutGraph::removeNode(NodeId id)
+LayoutGraph::removeNodes(const std::vector<NodeId> &ids)
 {
-    VIVA_ASSERT(alive(id), "removing dead node ", id);
-    nodes[id.index()].alive = false;
-    keyIndex.erase(nodes[id.index()].key);
-    --liveNodes;
-    for (Edge &e : edges) {
-        if (e.alive && (e.a == id || e.b == id)) {
-            e.alive = false;
-            --liveEdges;
-        }
+    if (ids.empty())
+        return;
+    // Each slot's id after compaction; kNoNode marks the removed ones.
+    std::vector<NodeId> remap(nodes.size());
+    for (NodeId id : ids) {
+        VIVA_ASSERT(contains(id), "removing unknown node ", id);
+        VIVA_ASSERT(remap[id.index()] != kNoNode, "removing node ", id,
+                    " twice");
+        remap[id.index()] = kNoNode;
     }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (remap[i] == kNoNode) {
+            keyIndex.erase(nodes[i].key);
+            continue;
+        }
+        remap[i] = NodeId::fromIndex(kept);
+        if (kept != i) {
+            nodes[kept] = nodes[i];
+            nodes[kept].id = remap[i];
+            keyIndex[nodes[kept].key] = remap[i];
+        }
+        ++kept;
+    }
+    nodes.resize(kept);
+
+    std::size_t kept_edges = 0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        NodeId a = remap[edges[i].a.index()];
+        NodeId b = remap[edges[i].b.index()];
+        if (a != kNoNode && b != kNoNode)
+            edges[kept_edges++] = {a, b, edges[i].strength};
+    }
+    edges.resize(kept_edges);
 }
 
 void
 LayoutGraph::addEdge(NodeId a, NodeId b, double strength)
 {
-    VIVA_ASSERT(alive(a) && alive(b), "edge endpoints must be live");
+    VIVA_ASSERT(contains(a) && contains(b), "edge endpoints must exist");
     VIVA_ASSERT(a != b, "self-loop on node ", a);
-    edges.push_back({a, b, strength, true});
-    ++liveEdges;
+    edges.push_back({a, b, strength});
 }
 
 void
 LayoutGraph::clearEdges()
 {
     edges.clear();
-    liveEdges = 0;
-}
-
-bool
-LayoutGraph::alive(NodeId id) const
-{
-    return id.index() < nodes.size() && nodes[id.index()].alive;
 }
 
 const Node &
 LayoutGraph::node(NodeId id) const
 {
-    VIVA_ASSERT(alive(id), "dead or bad node ", id);
+    VIVA_ASSERT(contains(id), "bad node ", id);
     return nodes[id.index()];
 }
 
@@ -81,7 +96,7 @@ LayoutGraph::findKey(std::uint64_t key) const
 void
 LayoutGraph::setPosition(NodeId id, Vec2 position)
 {
-    VIVA_ASSERT(alive(id), "dead or bad node ", id);
+    VIVA_ASSERT(contains(id), "bad node ", id);
     nodes[id.index()].position = position;
     nodes[id.index()].velocity = {0.0, 0.0};
 }
@@ -89,7 +104,7 @@ LayoutGraph::setPosition(NodeId id, Vec2 position)
 void
 LayoutGraph::setPinned(NodeId id, bool pinned)
 {
-    VIVA_ASSERT(alive(id), "dead or bad node ", id);
+    VIVA_ASSERT(contains(id), "bad node ", id);
     nodes[id.index()].pinned = pinned;
     if (pinned)
         nodes[id.index()].velocity = {0.0, 0.0};
@@ -98,33 +113,20 @@ LayoutGraph::setPinned(NodeId id, bool pinned)
 void
 LayoutGraph::setCharge(NodeId id, double charge)
 {
-    VIVA_ASSERT(alive(id), "dead or bad node ", id);
+    VIVA_ASSERT(contains(id), "bad node ", id);
     VIVA_ASSERT(charge > 0, "node charge must be positive");
     nodes[id.index()].charge = charge;
 }
 
 std::vector<NodeId>
-LayoutGraph::liveNodeIds() const
-{
-    std::vector<NodeId> out;
-    out.reserve(liveNodes);
-    for (const Node &n : nodes)
-        if (n.alive)
-            out.push_back(n.id);
-    return out;
-}
-
-std::vector<NodeId>
 LayoutGraph::neighbors(NodeId id) const
 {
-    VIVA_ASSERT(alive(id), "dead or bad node ", id);
+    VIVA_ASSERT(contains(id), "bad node ", id);
     std::vector<NodeId> out;
     for (const Edge &e : edges) {
-        if (!e.alive)
-            continue;
-        if (e.a == id && nodes[e.b.index()].alive)
+        if (e.a == id)
             out.push_back(e.b);
-        else if (e.b == id && nodes[e.a.index()].alive)
+        else if (e.b == id)
             out.push_back(e.a);
     }
     return out;
@@ -133,13 +135,12 @@ LayoutGraph::neighbors(NodeId id) const
 Vec2
 LayoutGraph::centroid() const
 {
-    if (liveNodes == 0)
+    if (nodes.empty())
         return {0.0, 0.0};
     Vec2 sum;
     for (const Node &n : nodes)
-        if (n.alive)
-            sum += n.position;
-    return sum / double(liveNodes);
+        sum += n.position;
+    return sum / double(nodes.size());
 }
 
 support::AuditLog
@@ -148,52 +149,34 @@ LayoutGraph::auditInvariants() const
     using support::auditFail;
 
     support::AuditLog log;
-    std::size_t live_nodes = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         const Node &n = nodes[i];
-        if (n.id != NodeId(i))
+        if (n.id != NodeId::fromIndex(i))
             auditFail(log, "node in slot ", i, " carries id ", n.id);
-        if (!n.alive)
-            continue;
-        ++live_nodes;
         if (n.charge <= 0.0)
-            auditFail(log, "live node ", i, " has non-positive charge ",
+            auditFail(log, "node ", i, " has non-positive charge ",
                       n.charge);
         auto it = keyIndex.find(n.key);
         if (it == keyIndex.end())
-            auditFail(log, "live node ", i, " (key ", n.key,
+            auditFail(log, "node ", i, " (key ", n.key,
                       ") missing from the key index");
         else if (it->second != n.id)
             auditFail(log, "key ", n.key, " indexes node ", it->second,
                       " instead of ", n.id);
     }
-    if (live_nodes != liveNodes)
-        auditFail(log, "live-node counter ", liveNodes, " != ",
-                  live_nodes, " live slots");
-    if (keyIndex.size() != live_nodes)
+    if (keyIndex.size() != nodes.size())
         auditFail(log, "key index holds ", keyIndex.size(),
-                  " entries for ", live_nodes, " live nodes");
+                  " entries for ", nodes.size(), " nodes");
 
-    std::size_t live_edges = 0;
     for (std::size_t i = 0; i < edges.size(); ++i) {
         const Edge &e = edges[i];
-        if (!e.alive)
-            continue;
-        ++live_edges;
         if (e.a == e.b)
             auditFail(log, "edge ", i, " is a self-loop on node ", e.a);
-        for (NodeId end : {e.a, e.b}) {
-            if (end.index() >= nodes.size())
+        for (NodeId end : {e.a, e.b})
+            if (!contains(end))
                 auditFail(log, "edge ", i, " references node ", end,
                           " out of range");
-            else if (!nodes[end.index()].alive)
-                auditFail(log, "live edge ", i, " dangles off dead "
-                          "node ", end);
-        }
     }
-    if (live_edges != liveEdges)
-        auditFail(log, "live-edge counter ", liveEdges, " != ",
-                  live_edges, " live slots");
     return log;
 }
 
@@ -202,8 +185,6 @@ auditFinitePositions(const LayoutGraph &graph)
 {
     support::AuditLog log;
     for (const Node &n : graph.rawNodes()) {
-        if (!n.alive)
-            continue;
         if (!std::isfinite(n.position.x) || !std::isfinite(n.position.y))
             support::auditFail(log, "node ", n.id, " (key ", n.key,
                                ") has a non-finite position");

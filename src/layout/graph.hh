@@ -32,12 +32,14 @@ inline constexpr NodeId kNoNode{0xFFFFFFFFu};
 /** One layout node. */
 struct Node
 {
-    NodeId id = kNoNode;
+    NodeId id = kNoNode;     ///< its slot in LayoutGraph::rawNodes()
     std::uint64_t key = 0;   ///< caller's identifier (e.g. ContainerId)
     Vec2 position;
     Vec2 velocity;
     double charge = 1.0;     ///< Coulomb repulsion strength
     bool pinned = false;     ///< dragged / fixed by the analyst
+    /** Always true: the graph holds no dead nodes. Kept only for the
+     * benchmark driver, which still filters on it. */
     bool alive = true;
 };
 
@@ -47,12 +49,13 @@ struct Edge
     NodeId a = kNoNode;
     NodeId b = kNoNode;
     double strength = 1.0;   ///< Hooke stiffness multiplier
-    bool alive = true;
 };
 
 /**
- * Mutable graph with stable node ids (slots are never reused within one
- * graph's lifetime, so external references cannot dangle silently).
+ * Mutable dense graph: the nodes live in one array in insertion order,
+ * with no tombstones, and a NodeId is a node's slot in it. A NodeId is
+ * therefore valid only until the next removeNodes(), which shifts the
+ * survivors down; the caller's key is the stable handle (findKey()).
  */
 class LayoutGraph
 {
@@ -60,20 +63,22 @@ class LayoutGraph
     /** Add a node at a position. @return its id */
     NodeId addNode(std::uint64_t key, Vec2 position, double charge = 1.0);
 
-    /** Remove a node and every edge touching it. */
-    void removeNode(NodeId id);
+    /**
+     * Remove the given nodes (each at most once) and every edge
+     * touching them, in one stable O(nodes + edges) compaction pass:
+     * survivors keep their relative order, so the force sums over them
+     * keep theirs. Invalidates every NodeId held by the caller.
+     */
+    void removeNodes(const std::vector<NodeId> &ids);
 
-    /** Add a spring between two live nodes. */
+    /** Add a spring between two nodes. */
     void addEdge(NodeId a, NodeId b, double strength = 1.0);
 
     /** Drop every edge (positions are untouched); used when a cut
      * change re-derives the visible edges from scratch. */
     void clearEdges();
 
-    /** True when the id refers to a live node. */
-    bool alive(NodeId id) const;
-
-    /** Access a live node. */
+    /** Access a node. */
     const Node &node(NodeId id) const;
 
     /** Node id carrying the caller key, or kNoNode. */
@@ -88,23 +93,20 @@ class LayoutGraph
     /** Update a node's charge (e.g. after re-aggregation). */
     void setCharge(NodeId id, double charge);
 
-    /** Live node count. */
-    std::size_t nodeCount() const { return liveNodes; }
+    /** Node count. */
+    std::size_t nodeCount() const { return nodes.size(); }
 
-    /** Live edge count. */
-    std::size_t edgeCount() const { return liveEdges; }
+    /** Edge count. */
+    std::size_t edgeCount() const { return edges.size(); }
 
-    /** All slots, dead included: callers filter on alive. */
+    /** The dense node array, indexed by NodeId, and the edge list. */
     const std::vector<Node> &rawNodes() const { return nodes; }
     const std::vector<Edge> &rawEdges() const { return edges; }
 
-    /** Ids of live nodes, ascending. */
-    std::vector<NodeId> liveNodeIds() const;
-
-    /** Ids of live neighbours of a node. */
+    /** Ids of the neighbours of a node. */
     std::vector<NodeId> neighbors(NodeId id) const;
 
-    /** Centroid of the live nodes (origin when empty). */
+    /** Centroid of the nodes (origin when empty). */
     Vec2 centroid() const;
 
     // Internal mutable access for the force stepper.
@@ -112,30 +114,30 @@ class LayoutGraph
 
     /**
      * Deep structural audit: node ids match their slots, the key index
-     * maps exactly the live nodes, live/edge counters match the slots,
-     * no live edge dangles off a dead or out-of-range node, and no node
-     * carries a non-positive charge.
+     * maps exactly the nodes, no edge is a self-loop or references a
+     * node out of range, and no node carries a non-positive charge.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
 
     /**
-     * Fault injection for audit tests: desynchronise the live-node
-     * counter, breaking the counter/slot invariant. Never call outside
-     * tests.
+     * Fault injection for audit tests: point `key`'s key-index entry at
+     * no node, desynchronising the index from the node array. Never
+     * call outside tests.
      */
-    void debugCorruptLiveCount() { ++liveNodes; }
+    void debugCorruptKeyIndex(std::uint64_t key) { keyIndex[key] = kNoNode; }
 
   private:
+    /** True when the id names a slot of the node array. */
+    bool contains(NodeId id) const { return id.index() < nodes.size(); }
+
     std::vector<Node> nodes;
     std::vector<Edge> edges;
     std::unordered_map<std::uint64_t, NodeId> keyIndex;
-    std::size_t liveNodes = 0;
-    std::size_t liveEdges = 0;
 };
 
 /**
- * Audit that every live node's position and velocity are finite -- the
+ * Audit that every node's position and velocity are finite -- the
  * first thing a divergent or mis-parallelised force step destroys.
  * @return the violated invariants; empty when well-formed
  */

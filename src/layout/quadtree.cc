@@ -6,6 +6,7 @@
 #include "layout/quadtree.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/logging.hh"
 #include "support/obs.hh"
@@ -58,117 +59,30 @@ mortonCode(Vec2 p, Vec2 lo, Vec2 hi)
     return (spreadBits(qy) << 1) | spreadBits(qx);
 }
 
-} // namespace
-
-QuadTree::QuadTree(Vec2 lo, Vec2 hi)
+/** The four quadrant boxes of [lo, hi], indexed by the Morton digit. */
+struct Quadrants
 {
-    VIVA_ASSERT(lo.x < hi.x && lo.y < hi.y, "degenerate quadtree box");
-    newCell(lo, hi);
-}
+    Vec2 lo[4];
+    Vec2 hi[4];
+};
 
-std::size_t
-QuadTree::newCell(Vec2 lo, Vec2 hi)
+Quadrants
+quadrantsOf(Vec2 lo, Vec2 hi)
 {
-    std::size_t i = cellLo.size();
-    cellLo.push_back(lo);
-    cellHi.push_back(hi);
-    bary.push_back(Vec2{});
-    cellCharge.push_back(0.0);
-    kids.push_back({kNoCell, kNoCell, kNoCell, kNoCell});
-    leafPos.push_back(Vec2{});
-    leafCharge.push_back(0.0);
-    flags.push_back(kLeafBit);
-    return i;
-}
-
-int
-QuadTree::quadrant(std::size_t cell, Vec2 p) const
-{
-    double mx = 0.5 * (cellLo[cell].x + cellHi[cell].x);
-    double my = 0.5 * (cellLo[cell].y + cellHi[cell].y);
-    int q = 0;
-    if (p.x >= mx)
-        q |= 1;
-    if (p.y >= my)
-        q |= 2;
-    return q;
-}
-
-void
-QuadTree::subdivide(std::size_t cell)
-{
-    Vec2 lo = cellLo[cell];
-    Vec2 hi = cellHi[cell];
     double mx = 0.5 * (lo.x + hi.x);
     double my = 0.5 * (lo.y + hi.y);
-    const Vec2 corner[4][2] = {
-        {{lo.x, lo.y}, {mx, my}},
-        {{mx, lo.y}, {hi.x, my}},
-        {{lo.x, my}, {mx, hi.y}},
-        {{mx, my}, {hi.x, hi.y}},
-    };
-    for (int q = 0; q < 4; ++q) {
-        std::size_t child = newCell(corner[q][0], corner[q][1]);
-        kids[cell][q] = CellId::fromIndex(child);
-    }
-    flags[cell] = 0;
+    return {{{lo.x, lo.y}, {mx, lo.y}, {lo.x, my}, {mx, my}},
+            {{mx, my}, {hi.x, my}, {mx, hi.y}, {hi.x, hi.y}}};
 }
 
-void
-QuadTree::insert(Vec2 position, double charge)
+/** The longer side of a box: the size the opening test divides. */
+double
+boxSize(Vec2 lo, Vec2 hi)
 {
-    VIVA_ASSERT(charge > 0, "charge must be positive");
-    VIVA_ASSERT(!cellLo.empty(), "insert() into a box-less tree");
-    // Clamp into the box so callers need not grow it exactly.
-    position.x = std::clamp(position.x, cellLo[0].x, cellHi[0].x);
-    position.y = std::clamp(position.y, cellLo[0].y, cellHi[0].y);
-    insertInto(0, position, charge, 0);
-    ++inserted;
+    return std::max(hi.x - lo.x, hi.y - lo.y);
 }
 
-void
-QuadTree::insertInto(std::size_t cell, Vec2 p, double charge, int depth)
-{
-    while (true) {
-        // Update the aggregate first.
-        double total = cellCharge[cell] + charge;
-        bary[cell] = (bary[cell] * cellCharge[cell] + p * charge) / total;
-        cellCharge[cell] = total;
-
-        if (flags[cell] & kLeafBit) {
-            if (!(flags[cell] & kPointBit)) {
-                leafPos[cell] = p;
-                leafCharge[cell] = charge;
-                flags[cell] |= kPointBit;
-                return;
-            }
-            // Merge coincident points instead of splitting forever.
-            if (depth >= kMaxDepth ||
-                distance(leafPos[cell], p) < kCoincidenceEps) {
-                leafCharge[cell] += charge;
-                return;
-            }
-            // Split: push the resident point down, then continue with p.
-            Vec2 old_p = leafPos[cell];
-            double old_q = leafCharge[cell];
-            flags[cell] = kLeafBit;
-            leafCharge[cell] = 0.0;
-            subdivide(cell);
-            std::size_t down =
-                kids[cell][quadrant(cell, old_p)].index();
-            // Re-seed the child leaf with the old point (its aggregate
-            // must reflect the point too).
-            leafPos[down] = old_p;
-            leafCharge[down] = old_q;
-            flags[down] = kLeafBit | kPointBit;
-            cellCharge[down] = old_q;
-            bary[down] = old_p;
-            // Fall through: re-dispatch p on this (now internal) cell.
-        }
-        cell = kids[cell][quadrant(cell, p)].index();
-        ++depth;
-    }
-}
+} // namespace
 
 void
 QuadTree::build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies)
@@ -179,47 +93,38 @@ QuadTree::build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies)
     obs::ScopedPhase timer(phase);
 
     VIVA_ASSERT(lo.x < hi.x && lo.y < hi.y, "degenerate quadtree box");
-    cellLo.clear();
-    cellHi.clear();
-    bary.clear();
-    cellCharge.clear();
-    kids.clear();
-    leafPos.clear();
-    leafCharge.clear();
-    flags.clear();
-    inserted = bodies.size();
-
-    if (bodies.empty()) {
-        newCell(lo, hi);
+    cells.clear();
+    rootLo = lo;
+    rootHi = hi;
+    points = bodies.size();
+    if (bodies.empty())
         return;
-    }
 
-    codes.resize(bodies.size());
-    order.resize(bodies.size());
+    VIVA_ASSERT(bodies.size() < (std::size_t(1) << 30),
+                "quadtree build over ", bodies.size(), " bodies");
+    sorted.resize(bodies.size());
     for (std::size_t i = 0; i < bodies.size(); ++i) {
         VIVA_ASSERT(bodies[i].charge > 0, "charge must be positive");
-        codes[i] = mortonCode(bodies[i].position, lo, hi);
-        order[i] = std::uint32_t(i);
+        sorted[i] = {mortonCode(bodies[i].position, lo, hi),
+                     std::uint32_t(i)};
     }
     // Deterministic: ties broken by the original body index, so the
     // tree (and every force it yields) is a pure function of the
     // input sequence.
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  if (codes[a] != codes[b])
-                      return codes[a] < codes[b];
-                  return a < b;
-              });
+    std::sort(sorted.begin(), sorted.end());
 
-    buildRange(lo, hi, 0, bodies.size(), 2 * (kMortonBits - 1), bodies);
+    buildRange(lo, hi, 0, 0, bodies.size(), 2 * (kMortonBits - 1), bodies);
 }
 
-std::size_t
-QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
+void
+QuadTree::buildRange(Vec2 lo, Vec2 hi, int quadrant, std::size_t begin,
                      std::size_t end, int shift,
                      const std::vector<Body> &bodies)
 {
-    std::size_t cell = newCell(lo, hi);
+    const std::size_t cell = cells.size();
+    cells.push_back({});
+    cells[cell].size = boxSize(lo, hi);
+    cells[cell].quadrant = static_cast<std::uint32_t>(quadrant);
     if (end - begin == 1 || shift < 0) {
         // One body, or several sharing a Morton cell: a leaf at the
         // charge-weighted centroid, merged left-to-right in sorted
@@ -227,102 +132,93 @@ QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
         Vec2 p{};
         double q = 0.0;
         for (std::size_t i = begin; i < end; ++i) {
-            const Body &b = bodies[order[i]];
-            // Clamp exactly like insert(), so out-of-box bodies merge
-            // at the same positions either path would produce.
-            Vec2 bp{std::clamp(b.position.x, cellLo[0].x, cellHi[0].x),
-                    std::clamp(b.position.y, cellLo[0].y, cellHi[0].y)};
+            const Body &b = bodies[sorted[i].second];
+            Vec2 bp{std::clamp(b.position.x, rootLo.x, rootHi.x),
+                    std::clamp(b.position.y, rootLo.y, rootHi.y)};
             double total = q + b.charge;
             p = (p * q + bp * b.charge) / total;
             q = total;
         }
-        leafPos[cell] = p;
-        leafCharge[cell] = q;
-        flags[cell] = kLeafBit | kPointBit;
-        cellCharge[cell] = q;
-        bary[cell] = p;
-        return cell;
+        Cell &leaf = cells[cell];
+        leaf.bary = p;
+        leaf.charge = q;
+        leaf.bodies = static_cast<std::uint32_t>(end - begin);
+        leaf.skip = CellId::fromIndex(cell + 1);
+        return;
     }
 
-    flags[cell] = 0;
-    double mx = 0.5 * (lo.x + hi.x);
-    double my = 0.5 * (lo.y + hi.y);
-    const Vec2 corner[4][2] = {
-        {{lo.x, lo.y}, {mx, my}},
-        {{mx, lo.y}, {hi.x, my}},
-        {{lo.x, my}, {mx, hi.y}},
-        {{mx, my}, {hi.x, hi.y}},
-    };
     // The range is Morton-sorted, so each quadrant's bodies form one
-    // contiguous sub-range; walk the 2-bit digit boundaries in order.
-    std::size_t cursor = begin;
+    // contiguous sub-range; bound[d] .. bound[d + 1] is quadrant d's.
+    std::size_t bound[5] = {begin, begin, begin, begin, begin};
+    for (int d = 0; d < 4; ++d) {
+        std::size_t sub = bound[d];
+        while (sub < end && int((sorted[sub].first >> shift) & 3) == d)
+            ++sub;
+        bound[d + 1] = sub;
+    }
+    // Emit the non-empty quadrants in order 3, 2, 1, 0 but sum them in
+    // order 0..3: the walk then adds every term in the order of a
+    // depth-first stack walk that pushes children 0..3, the reference
+    // the pinned layout values (tests/grid5000_session_test.cc) hold.
+    const Quadrants quad = quadrantsOf(lo, hi);
+    std::size_t child[4] = {0, 0, 0, 0};
+    for (int d = 3; d >= 0; --d) {
+        if (bound[d] == bound[d + 1])
+            continue;  // empty quadrant: no cell at all
+        child[d] = cells.size();
+        buildRange(quad.lo[d], quad.hi[d], d, bound[d], bound[d + 1],
+                   shift - 2, bodies);
+    }
     double charge_sum = 0.0;
     Vec2 moment{};
     for (int d = 0; d < 4; ++d) {
-        std::size_t sub = cursor;
-        while (sub < end &&
-               int((codes[order[sub]] >> shift) & 3) == d)
-            ++sub;
-        if (sub == cursor)
-            continue;  // empty quadrant: no cell at all
-        std::size_t child = buildRange(corner[d][0], corner[d][1],
-                                       cursor, sub, shift - 2, bodies);
-        kids[cell][d] = CellId::fromIndex(child);
-        charge_sum += cellCharge[child];
-        moment += bary[child] * cellCharge[child];
-        cursor = sub;
+        if (bound[d] == bound[d + 1])
+            continue;
+        charge_sum += cells[child[d]].charge;
+        moment += cells[child[d]].bary * cells[child[d]].charge;
     }
-    cellCharge[cell] = charge_sum;
-    bary[cell] = moment / charge_sum;
-    return cell;
+    Cell &parent = cells[cell];
+    parent.charge = charge_sum;
+    parent.bary = moment / charge_sum;
+    parent.skip = CellId::fromIndex(cells.size());
 }
 
 Vec2
 QuadTree::forceAt(Vec2 position, double theta) const
 {
-    TraversalStack stack;
-    return forceAt(position, theta, stack);
-}
-
-Vec2
-QuadTree::forceAt(Vec2 position, double theta,
-                  TraversalStack &scratch) const
-{
     Vec2 total;
-    if (inserted == 0)
-        return total;
-
-    // Explicit stack to avoid recursion on deep trees.
-    scratch.clear();
-    scratch.push_back(CellId{0});
-    while (!scratch.empty()) {
-        std::size_t c = scratch.back().index();
-        scratch.pop_back();
-        if (cellCharge[c] <= 0.0)
-            continue;
-
-        if (flags[c] & kLeafBit) {
-            if (!(flags[c] & kPointBit))
-                continue;
-            Vec2 d = position - leafPos[c];
-            double dist = d.norm();
+    // A cell whose squared size exceeds theta^2 * d^2 by the relative
+    // margin 1e-9 -- far above the few ulps either test rounds by --
+    // fails the exact opening test too, so it is opened without the
+    // square root and the division: same cells, same terms, fewer
+    // cycles.
+    const double open_factor = theta * theta * (1.0 + 1e-9);
+    const std::size_t n = cells.size();
+    std::size_t c = 0;
+    while (c < n) {
+        const Cell &cell = cells[c];
+        Vec2 d = position - cell.bary;
+        double d2 = d.norm2();
+        if (cell.bodies != 0) {
+            ++c;
+            double dist = std::sqrt(d2);
             if (dist < kCoincidenceEps)
                 continue;  // self or coincident: no direction, skip
-            total += d * (leafCharge[c] / (dist * dist * dist));
+            total += d * (cell.charge / (dist * dist * dist));
             continue;
         }
-
-        Vec2 d = position - bary[c];
-        double dist = d.norm();
-        double size =
-            std::max(cellHi[c].x - cellLo[c].x, cellHi[c].y - cellLo[c].y);
-        if (dist > kCoincidenceEps && size / dist < theta) {
-            total += d * (cellCharge[c] / (dist * dist * dist));
+        if (cell.size * cell.size > open_factor * d2) {
+            ++c;  // open the cell: its first child follows it
             continue;
         }
-        for (int q = 0; q < 4; ++q)
-            if (kids[c][q] != kNoCell)
-                scratch.push_back(kids[c][q]);
+        double dist = std::sqrt(d2);
+        if (dist > kCoincidenceEps && cell.size / dist < theta) {
+            // Far enough: the whole subtree acts from its barycentre.
+            total += d * (cell.charge / (dist * dist * dist));
+            c = cell.skip.index();
+            continue;
+        }
+        ++c;
     }
     return total;
 }
@@ -333,117 +229,114 @@ QuadTree::auditInvariants() const
     using support::auditFail;
     using support::nearlyEqual;
 
-    // Accumulated floating error across inserts; looser than the
-    // aggregation tolerance because barycentres divide by charge.
+    // Rounding of the barycentre sums; positions compare with the same
+    // tolerance scaled by the root box.
     constexpr double kTol = 1e-9;
+    const double slack = kTol * std::max(1.0, boxSize(rootLo, rootHi));
+    auto inside = [slack](Vec2 p, Vec2 lo, Vec2 hi) {
+        return p.x >= lo.x - slack && p.x <= hi.x + slack &&
+               p.y >= lo.y - slack && p.y <= hi.y + slack;
+    };
 
     support::AuditLog log;
-    if (cellLo.empty()) {
-        auditFail(log, "quadtree has no root cell");
+    const std::size_t n = cells.size();
+    if (n == 0) {
+        if (points != 0)
+            auditFail(log, points, " bodies built into an empty arena");
         return log;
     }
+    if (cells[0].skip.index() != n)
+        auditFail(log, "root skips to ", cells[0].skip, ", not past all ",
+                  n, " cells");
 
-    double totalLeafCharge = 0.0;
-    std::size_t leafPoints = 0;
-
-    for (std::size_t i = 0; i < cellLo.size(); ++i) {
-        if (!(cellLo[i].x < cellHi[i].x && cellLo[i].y < cellHi[i].y))
-            auditFail(log, "cell ", i, " has a degenerate box");
-        if (cellCharge[i] < 0.0)
-            auditFail(log, "cell ", i, " has negative charge ",
-                      cellCharge[i]);
-
-        if (flags[i] & kLeafBit) {
-            for (int q = 0; q < 4; ++q)
-                if (kids[i][q] != kNoCell)
-                    auditFail(log, "leaf cell ", i, " has a child");
-            if (!(flags[i] & kPointBit))
-                continue;
-            ++leafPoints;
-            totalLeafCharge += leafCharge[i];
-            if (leafCharge[i] <= 0.0)
-                auditFail(log, "leaf ", i, " has non-positive point "
-                          "charge ", leafCharge[i]);
-            if (!nearlyEqual(cellCharge[i], leafCharge[i], kTol))
-                auditFail(log, "leaf ", i, " charge ", cellCharge[i],
-                          " != point charge ", leafCharge[i]);
-            if (leafPos[i].x < cellLo[i].x - kTol ||
-                leafPos[i].x > cellHi[i].x + kTol ||
-                leafPos[i].y < cellLo[i].y - kTol ||
-                leafPos[i].y > cellHi[i].y + kTol)
-                auditFail(log, "leaf ", i, " point escapes its box");
+    // Boxes recomputed top-down: preorder puts every parent before its
+    // children, so a cell's box is known by the time it is visited.
+    std::vector<Vec2> boxLo(n), boxHi(n);
+    boxLo[0] = rootLo;
+    boxHi[0] = rootHi;
+    std::size_t leafBodies = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Cell &c = cells[i];
+        if (c.size != boxSize(boxLo[i], boxHi[i]))
+            auditFail(log, "cell ", i, " stores size ", c.size,
+                      " for a box of size ",
+                      boxSize(boxLo[i], boxHi[i]));
+        if (!(c.charge > 0.0))
+            auditFail(log, "cell ", i, " has non-positive charge ",
+                      c.charge);
+        const std::size_t skip = c.skip.index();
+        if (skip <= i || skip > n) {
+            auditFail(log, "cell ", i, " skips to ", c.skip,
+                      ", outside (", i, ", ", n, "]");
             continue;
         }
 
-        if (flags[i] & kPointBit)
-            auditFail(log, "internal cell ", i,
-                      " still holds a resident point");
+        if (c.bodies != 0) {
+            leafBodies += c.bodies;
+            if (skip != i + 1)
+                auditFail(log, "leaf ", i, " skips over a subtree to ",
+                          c.skip);
+            if (!inside(c.bary, boxLo[i], boxHi[i]))
+                auditFail(log, "leaf ", i, " point escapes its box");
+            continue;
+        }
+        if (skip == i + 1) {
+            auditFail(log, "internal cell ", i, " has no children");
+            continue;
+        }
 
+        // The children's subtrees must tile (i, skip) exactly, each in
+        // its own quadrant, quadrants descending; a child's barycentre
+        // must lie in its quadrant.
+        const Quadrants quad = quadrantsOf(boxLo[i], boxHi[i]);
         double childCharge = 0.0;
         Vec2 moment;
-        std::size_t childCount = 0;
-        double mx = 0.5 * (cellLo[i].x + cellHi[i].x);
-        double my = 0.5 * (cellLo[i].y + cellHi[i].y);
-        const Vec2 corner[4][2] = {
-            {{cellLo[i].x, cellLo[i].y}, {mx, my}},
-            {{mx, cellLo[i].y}, {cellHi[i].x, my}},
-            {{cellLo[i].x, my}, {mx, cellHi[i].y}},
-            {{mx, my}, {cellHi[i].x, cellHi[i].y}},
-        };
-        for (int q = 0; q < 4; ++q) {
-            CellId child_ix = kids[i][q];
-            // The batch build creates only non-empty quadrants; an
-            // absent child is well-formed, a bad index is not.
-            if (child_ix == kNoCell)
-                continue;
-            if (child_ix.index() >= cellLo.size()) {
-                auditFail(log, "internal cell ", i,
-                          " has a bad child index ", child_ix);
-                continue;
+        std::uint32_t free_below = 4;
+        bool nested = true;
+        for (std::size_t k = i + 1; k < skip;) {
+            const Cell &child = cells[k];
+            const std::uint32_t q = child.quadrant;
+            const std::size_t next = child.skip.index();
+            if (next <= k || next > skip || q >= free_below) {
+                auditFail(log, "child ", k, " of cell ", i,
+                          q >= free_below
+                              ? " repeats or reorders a quadrant"
+                              : " skips outside its parent");
+                nested = false;
+                break;
             }
-            ++childCount;
-            std::size_t child = child_ix.index();
-            if (cellLo[child].x != corner[q][0].x ||
-                cellLo[child].y != corner[q][0].y ||
-                cellHi[child].x != corner[q][1].x ||
-                cellHi[child].y != corner[q][1].y)
-                auditFail(log, "child ", child_ix, " of cell ", i,
-                          " does not tile quadrant ", q);
-            childCharge += cellCharge[child];
-            moment += bary[child] * cellCharge[child];
+            if (!inside(child.bary, quad.lo[q], quad.hi[q]))
+                auditFail(log, "child ", k, " of cell ", i,
+                          " has its barycentre outside quadrant ", q);
+            boxLo[k] = quad.lo[q];
+            boxHi[k] = quad.hi[q];
+            free_below = q;
+            childCharge += child.charge;
+            moment += child.bary * child.charge;
+            k = next;
         }
-        if (childCount == 0)
-            auditFail(log, "internal cell ", i, " has no children");
-        if (!nearlyEqual(cellCharge[i], childCharge, kTol))
-            auditFail(log, "internal cell ", i, " charge ",
-                      cellCharge[i], " != sum of children ",
-                      childCharge);
-        if (cellCharge[i] > 0.0) {
-            Vec2 expect = moment / childCharge;
-            if (!nearlyEqual(bary[i].x, expect.x, kTol) ||
-                !nearlyEqual(bary[i].y, expect.y, kTol))
-                auditFail(log, "internal cell ", i,
-                          " barycentre drifted from its children");
-        }
+        if (!nested)
+            continue;
+        if (!nearlyEqual(c.charge, childCharge, kTol))
+            auditFail(log, "internal cell ", i, " charge ", c.charge,
+                      " != sum of children ", childCharge);
+        Vec2 expect = moment / childCharge;
+        if (!nearlyEqual(c.bary.x, expect.x, kTol) ||
+            !nearlyEqual(c.bary.y, expect.y, kTol))
+            auditFail(log, "internal cell ", i,
+                      " barycentre drifted from its children");
     }
-
-    if (!nearlyEqual(cellCharge[0], totalLeafCharge, kTol))
-        auditFail(log, "root charge ", cellCharge[0],
-                  " != total leaf charge ", totalLeafCharge);
-    if (leafPoints > inserted)
-        auditFail(log, leafPoints, " resident points exceed ",
-                  inserted, " inserts");
-    if (inserted > 0 && cellCharge[0] <= 0.0)
-        auditFail(log, "points were inserted but the root holds no "
-                  "charge");
+    if (leafBodies != points)
+        auditFail(log, "leaves hold ", leafBodies, " bodies of the ",
+                  points, " built");
     return log;
 }
 
 void
 QuadTree::debugScaleCellCharge(std::size_t cell, double factor)
 {
-    VIVA_ASSERT(cell < cellLo.size(), "bad cell index ", cell);
-    cellCharge[cell] *= factor;
+    VIVA_ASSERT(cell < cells.size(), "bad cell index ", cell);
+    cells[cell].charge *= factor;
 }
 
 } // namespace viva::layout

@@ -4,19 +4,19 @@
  * Coulomb repulsion that makes the layout scale to large views
  * (Section 3.3: "we adopt the scalable Barnes-Hut algorithm").
  *
- * The tree lives in a flat SoA arena (parallel per-field vectors
- * indexed by CellId) whose capacity persists across rebuilds, so a
- * layout iterating at interactive rates stops paying per-cell
- * allocations after the first few steps. Two build paths share the
- * arena: the historical incremental insert(), and the batch build()
- * that Morton-sorts the points once and emits the tree bottom-up in a
- * single preorder pass -- the per-iteration path of the force layout.
+ * build() Morton-sorts the points once and emits the tree as one packed
+ * preorder arena: each cell holds what the walk reads (barycentre,
+ * charge, precomputed box size) plus the index just past its subtree.
+ * forceAt() then walks the arena without a stack -- it moves to the next
+ * cell to open a cell and jumps past the subtree to accept it. The
+ * arena's capacity persists across rebuilds, so a layout iterating at
+ * interactive rates stops allocating after the first few steps.
  */
 
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "layout/vec2.hh"
@@ -38,87 +38,61 @@ struct CellTag
  */
 using CellId = support::StrongId<CellTag, std::int32_t>;
 
-/** Sentinel for "no child in this quadrant". */
-inline constexpr CellId kNoCell{-1};
-
 /**
- * A quadtree over charged 2-D points. Build once per iteration -- with
- * insert() point by point, or with build() from a full point set --
- * then query the approximate repulsive field with forceAt().
+ * A quadtree over charged 2-D points. Build once per iteration from the
+ * full point set, then query the approximate repulsive field with
+ * forceAt().
  */
 class QuadTree
 {
   public:
-    /** One charged input point of the batch build(). */
+    /** One charged input point of build(). */
     struct Body
     {
         Vec2 position;
         double charge = 0.0;
     };
 
-    /**
-     * A reusable traversal stack for the allocation-free forceAt
-     * overload; any instance works for any tree.
-     */
-    using TraversalStack = std::vector<CellId>;
-
-    /** An empty tree; define the box with build(). */
+    /** An empty tree; fill it with build(). */
     QuadTree() = default;
 
     /**
-     * @param lo lower-left corner of the bounding box
-     * @param hi upper-right corner (must strictly contain all inserts)
-     */
-    QuadTree(Vec2 lo, Vec2 hi);
-
-    /** Insert one charged point. Points outside the box are clamped. */
-    void insert(Vec2 position, double charge);
-
-    /**
      * Rebuild the whole tree from a point set: Morton-sort the bodies
-     * (21 bits per axis, deterministic index tiebreak), then emit
-     * cells bottom-up into the arena, creating only non-empty
-     * quadrants. Equivalent to clearing and re-inserting every body,
-     * but allocation-free once the arena capacity has warmed up.
-     * Bodies quantized to the same Morton cell merge into one leaf at
-     * their charge-weighted centroid.
+     * (21 bits per axis, deterministic index tiebreak), then emit the
+     * non-empty cells in preorder, children in quadrant order 3, 2, 1,
+     * 0. Bodies outside [lo, hi] are clamped into it; bodies quantized
+     * to the same Morton cell merge into one leaf at their
+     * charge-weighted centroid.
      */
     void build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies);
 
     /**
-     * The repulsive field at a position: sum over inserted charges q_j
-     * of q_j * (p - p_j) / |p - p_j|^3, with cells treated as a single
-     * charge at their barycentre when (cell size / distance) < theta.
-     * A query at an inserted point skips near-coincident charges
+     * The repulsive field at a position: sum over the bodies' charges
+     * q_j of q_j * (p - p_j) / |p - p_j|^3, with cells treated as a
+     * single charge at their barycentre when (cell size / distance) <
+     * theta. A query at a body's position skips near-coincident charges
      * (distance below a small epsilon) rather than dividing by zero.
-     *
-     * This overload allocates a fresh traversal stack; hot loops use
-     * the scratch overload below.
+     * Allocation-free and safe to call from many threads at once.
      *
      * @param position query point
      * @param theta opening angle; 0 degenerates to the exact sum
      */
     Vec2 forceAt(Vec2 position, double theta) const;
 
-    /**
-     * forceAt with a caller-owned traversal stack: zero heap
-     * allocation once the stack's capacity has warmed up. Bitwise
-     * identical to the allocating overload.
-     */
-    Vec2 forceAt(Vec2 position, double theta,
-                 TraversalStack &scratch) const;
+    /** Number of bodies of the last build(). */
+    std::size_t pointCount() const { return points; }
 
-    /** Number of inserted points. */
-    std::size_t pointCount() const { return inserted; }
-
-    /** Number of allocated tree cells (memory metric). */
-    std::size_t cellCount() const { return cellLo.size(); }
+    /** Number of tree cells (memory metric). */
+    std::size_t cellCount() const { return cells.size(); }
 
     /**
-     * Deep structural audit: every internal cell's charge and
-     * barycentre are consistent with its children, child boxes tile
-     * their parent exactly, leaf points lie inside their cell, and the
-     * root charge accounts for every inserted point.
+     * Deep structural audit of the arena: skip indices nest, every
+     * internal cell's charge and barycentre are consistent with its
+     * children, the children's boxes -- recomputed top-down from the
+     * root box -- are distinct quadrants of their parent in descending
+     * order with matching stored sizes and hold their barycentres,
+     * every leaf's point lies inside its box, and the leaves' body
+     * counts add up to the bodies built.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
@@ -131,48 +105,41 @@ class QuadTree
     void debugScaleCellCharge(std::size_t cell, double factor);
 
   private:
-    /** Coincident points merge below this depth (incremental path). */
-    static constexpr int kMaxDepth = 48;
-
-    /** flags bits. */
-    static constexpr std::uint8_t kLeafBit = 1;
-    static constexpr std::uint8_t kPointBit = 2;
-
-    /** Append one leaf cell with this box; returns its index. */
-    std::size_t newCell(Vec2 lo, Vec2 hi);
-
-    /** Index of the quadrant of `cell` containing p. */
-    int quadrant(std::size_t cell, Vec2 p) const;
-
-    /** Create the 4 children of a cell (incremental path). */
-    void subdivide(std::size_t cell);
-
-    void insertInto(std::size_t cell, Vec2 p, double charge, int depth);
+    /**
+     * One arena cell. A leaf is the cell of one Morton cell's
+     * bodies; its barycentre and charge are that merged point's. Its
+     * subtree is itself, so its skip is always the next index.
+     */
+    struct Cell
+    {
+        Vec2 bary;            ///< charge-weighted centre
+        double charge = 0.0;  ///< total charge inside
+        double size = 0.0;    ///< longer side of the cell's box
+        CellId skip;          ///< first cell after this subtree
+        /** Bodies merged into a leaf; 0 marks an internal cell. */
+        std::uint32_t bodies : 30 = 0;
+        /** The quadrant of its parent's box this cell covers (the
+         * Morton digit; 0 for the root). Read only by the audit. */
+        std::uint32_t quadrant : 2 = 0;
+    };
 
     /**
-     * Emit the cell for the Morton-sorted body range [begin, end) of
-     * `order`, recursing per 2-bit digit at `shift`.
+     * Emit the cell for the body range [begin, end) of `sorted` with
+     * box [lo, hi], quadrant `quadrant` of its parent's, recursing per
+     * 2-bit digit at `shift`.
      */
-    std::size_t buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
-                           std::size_t end, int shift,
-                           const std::vector<Body> &bodies);
+    void buildRange(Vec2 lo, Vec2 hi, int quadrant, std::size_t begin,
+                    std::size_t end, int shift,
+                    const std::vector<Body> &bodies);
 
-    // The SoA arena: one slot per cell across all vectors. clear()
-    // between builds keeps the capacity.
-    std::vector<Vec2> cellLo;
-    std::vector<Vec2> cellHi;
-    std::vector<Vec2> bary;          ///< charge-weighted centre
-    std::vector<double> cellCharge;  ///< total charge inside
-    std::vector<std::array<CellId, 4>> kids;
-    std::vector<Vec2> leafPos;       ///< the single point of a leaf
-    std::vector<double> leafCharge;
-    std::vector<std::uint8_t> flags; ///< kLeafBit | kPointBit
+    std::vector<Cell> cells;  ///< preorder; clear() keeps the capacity
+    Vec2 rootLo;
+    Vec2 rootHi;
+    std::size_t points = 0;
 
-    std::size_t inserted = 0;
-
-    // Morton scratch of build(), reused across calls.
-    std::vector<std::uint64_t> codes;
-    std::vector<std::uint32_t> order;
+    /** build()'s (Morton code, body index) pairs in ascending order;
+     * reused across calls. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted;
 };
 
 } // namespace viva::layout

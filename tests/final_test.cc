@@ -78,16 +78,32 @@ TEST(FairShareSolverReuse, GrowingResourceSpace)
     EXPECT_DOUBLE_EQ(rates[0], 7.0);
 }
 
-// --- QuadTree depth cap -------------------------------------------------------
+// --- QuadTree Morton-resolution merging --------------------------------------
+
+namespace
+{
+
+/** n unit bodies, the i-th at `at` shifted by i * step along x. */
+std::vector<viva::layout::QuadTree::Body>
+bodyRow(std::size_t n, viva::layout::Vec2 at, double step)
+{
+    std::vector<viva::layout::QuadTree::Body> bodies;
+    for (std::size_t i = 0; i < n; ++i)
+        bodies.push_back({{at.x + double(i) * step, at.y}, 1.0});
+    return bodies;
+}
+
+} // namespace
 
 TEST(QuadTreeDepth, NearCoincidentPointsMergeAtCap)
 {
-    // Points separated by less than the coincidence epsilon would
-    // recurse forever without the depth cap / merge logic.
-    viva::layout::QuadTree tree({0, 0}, {1, 1});
-    for (int i = 0; i < 20; ++i)
-        tree.insert({0.5 + i * 1e-13, 0.5}, 1.0);
+    // Points far closer than the 2^-21 Morton resolution share one
+    // Morton cell: the build stops splitting at the last digit and
+    // merges them into a single leaf.
+    viva::layout::QuadTree tree;
+    tree.build({0, 0}, {1, 1}, bodyRow(20, {0.5, 0.5}, 1e-13));
     EXPECT_EQ(tree.pointCount(), 20u);
+    EXPECT_TRUE(tree.auditInvariants().empty());
     // Field at distance 0.25: all 20 charges act from ~one point.
     viva::layout::Vec2 f = tree.forceAt({0.75, 0.5}, 0.0);
     EXPECT_NEAR(f.x, 20.0 * 0.25 / (0.25 * 0.25 * 0.25), 1e-3);
@@ -95,11 +111,12 @@ TEST(QuadTreeDepth, NearCoincidentPointsMergeAtCap)
 
 TEST(QuadTreeDepth, CellCountBoundedByMerging)
 {
-    viva::layout::QuadTree tree({0, 0}, {1, 1});
-    for (int i = 0; i < 100; ++i)
-        tree.insert({0.123456, 0.654321}, 1.0);
-    // Coincident inserts merge into the same leaf: no splitting storm.
-    EXPECT_LT(tree.cellCount(), 16u);
+    viva::layout::QuadTree tree;
+    tree.build({0, 0}, {1, 1}, bodyRow(100, {0.123456, 0.654321}, 0.0));
+    // Coincident bodies descend one cell per Morton digit and merge
+    // into one leaf: 21 levels plus the leaf, no splitting storm.
+    EXPECT_LE(tree.cellCount(), 22u);
+    EXPECT_TRUE(tree.auditInvariants().empty());
 }
 
 // --- pie rendering edge ---------------------------------------------------------

@@ -62,13 +62,15 @@ makeTrace()
 vl::QuadTree
 makeTree(std::size_t points)
 {
-    vl::QuadTree tree({-100.0, -100.0}, {100.0, 100.0});
+    std::vector<vl::QuadTree::Body> bodies;
     vs::Rng rng(42);
     for (std::size_t i = 0; i < points; ++i) {
         double x = rng.uniform(-90.0, 90.0);
         double y = rng.uniform(-90.0, 90.0);
-        tree.insert({x, y}, 1.0 + double(i % 3));
+        bodies.push_back({{x, y}, 1.0 + double(i % 3)});
     }
+    vl::QuadTree tree;
+    tree.build({-100.0, -100.0}, {100.0, 100.0}, bodies);
     return tree;
 }
 
@@ -84,9 +86,9 @@ TEST(QuadTreeAudit, CleanAfterManyInserts)
 
 TEST(QuadTreeAudit, CleanWithCoincidentPoints)
 {
-    vl::QuadTree tree({0.0, 0.0}, {10.0, 10.0});
-    for (int i = 0; i < 8; ++i)
-        tree.insert({5.0, 5.0}, 2.0);
+    vl::QuadTree tree;
+    tree.build({0.0, 0.0}, {10.0, 10.0},
+               std::vector<vl::QuadTree::Body>(8, {{5.0, 5.0}, 2.0}));
     EXPECT_TRUE(tree.auditInvariants().empty());
 }
 
@@ -102,8 +104,8 @@ TEST(QuadTreeAudit, DetectsCorruptedCharge)
 TEST(QuadTreeAudit, DetectsCorruptedLeafCharge)
 {
     vl::QuadTree tree = makeTree(64);
-    // Corrupting the deepest cell breaks both the leaf's own
-    // charge/point consistency and its ancestors' sums.
+    // The last cell in preorder is a leaf: corrupting it breaks its
+    // parent's charge sum.
     tree.debugScaleCellCharge(tree.cellCount() - 1, 3.0);
     EXPECT_FALSE(tree.auditInvariants().empty());
 }
@@ -119,20 +121,21 @@ TEST(GraphAudit, CleanThroughMutations)
     g.addEdge(a, b);
     g.addEdge(b, c, 0.5);
     EXPECT_TRUE(g.auditInvariants().empty());
-    g.removeNode(b);
+    g.removeNodes({b});
     EXPECT_TRUE(g.auditInvariants().empty());
     g.clearEdges();
     EXPECT_TRUE(g.auditInvariants().empty());
 }
 
-TEST(GraphAudit, DetectsCounterDrift)
+TEST(GraphAudit, DetectsKeyIndexCorruption)
 {
     vl::LayoutGraph g;
     g.addNode(1, {0.0, 0.0});
-    g.debugCorruptLiveCount();
+    g.addNode(2, {1.0, 0.0});
+    g.debugCorruptKeyIndex(2);
     vs::AuditLog log = g.auditInvariants();
     ASSERT_FALSE(log.empty());
-    EXPECT_NE(log[0].find("counter"), std::string::npos);
+    EXPECT_NE(log[0].find("key 2 indexes node"), std::string::npos);
 }
 
 TEST(GraphAudit, FinitePositionsDetectNan)

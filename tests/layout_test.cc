@@ -38,11 +38,40 @@ TEST(LayoutGraph, AddRemoveNodes)
     EXPECT_EQ(g.findKey(100), a);
     EXPECT_DOUBLE_EQ(g.node(a).charge, 2.0);
 
-    g.removeNode(a);
+    g.removeNodes({a});
     EXPECT_EQ(g.nodeCount(), 1u);
-    EXPECT_FALSE(g.alive(a));
     EXPECT_EQ(g.findKey(100), vl::kNoNode);
-    EXPECT_TRUE(g.alive(b));
+    // The survivor shifted into the freed slot; its key still finds it.
+    b = g.findKey(200);
+    EXPECT_EQ(b, vl::NodeId{0});
+    EXPECT_DOUBLE_EQ(g.node(b).position.x, 1.0);
+    EXPECT_TRUE(g.auditInvariants().empty());
+}
+
+TEST(LayoutGraph, RemoveNodesCompactsInOrder)
+{
+    vl::LayoutGraph g;
+    std::vector<vl::NodeId> ids;
+    for (int i = 0; i < 6; ++i)
+        ids.push_back(g.addNode(std::uint64_t(10 + i), {double(i), 0.0}));
+    g.addEdge(ids[0], ids[5], 2.0);
+    g.addEdge(ids[1], ids[2]);
+    g.addEdge(ids[3], ids[4], 3.0);
+    g.removeNodes({ids[4], ids[1]});
+
+    // Survivors keep their relative order and carry their slot as id.
+    ASSERT_EQ(g.rawNodes().size(), 4u);
+    const std::uint64_t keys[] = {10, 12, 13, 15};
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(g.rawNodes()[i].key, keys[i]);
+        EXPECT_EQ(g.findKey(keys[i]), vl::NodeId::fromIndex(i));
+    }
+    // Edges touching a removed node are gone; the rest are renumbered.
+    ASSERT_EQ(g.edgeCount(), 1u);
+    EXPECT_EQ(g.rawEdges()[0].a, g.findKey(10));
+    EXPECT_EQ(g.rawEdges()[0].b, g.findKey(15));
+    EXPECT_DOUBLE_EQ(g.rawEdges()[0].strength, 2.0);
+    EXPECT_TRUE(g.auditInvariants().empty());
 }
 
 TEST(LayoutGraph, EdgesFollowRemovals)
@@ -55,9 +84,10 @@ TEST(LayoutGraph, EdgesFollowRemovals)
     g.addEdge(b, c);
     EXPECT_EQ(g.edgeCount(), 2u);
     EXPECT_EQ(g.neighbors(b).size(), 2u);
-    g.removeNode(a);
+    g.removeNodes({a});
     EXPECT_EQ(g.edgeCount(), 1u);
-    EXPECT_EQ(g.neighbors(b), (std::vector<vl::NodeId>{c}));
+    EXPECT_EQ(g.neighbors(g.findKey(2)),
+              (std::vector<vl::NodeId>{g.findKey(3)}));
 }
 
 TEST(LayoutGraph, ClearEdgesKeepsNodes)
@@ -100,10 +130,40 @@ TEST(LayoutGraphDeath, DuplicateKeyAsserts)
 
 // --- QuadTree -------------------------------------------------------------------
 
+namespace
+{
+
+/** A tree over [lo, hi] built from the given bodies. */
+vl::QuadTree
+builtTree(vl::Vec2 lo, vl::Vec2 hi,
+          const std::vector<vl::QuadTree::Body> &bodies)
+{
+    vl::QuadTree tree;
+    tree.build(lo, hi, bodies);
+    return tree;
+}
+
+/** The exact field at `query`: every body's term, coincident ones
+ * skipped as forceAt skips them. */
+vl::Vec2
+exactField(const std::vector<vl::QuadTree::Body> &bodies, vl::Vec2 query)
+{
+    vl::Vec2 exact;
+    for (const vl::QuadTree::Body &b : bodies) {
+        vl::Vec2 d = query - b.position;
+        double dist = d.norm();
+        if (dist < 1e-9)
+            continue;
+        exact += d * (b.charge / (dist * dist * dist));
+    }
+    return exact;
+}
+
+} // namespace
+
 TEST(QuadTree, SinglePointField)
 {
-    vl::QuadTree tree({-10, -10}, {10, 10});
-    tree.insert({0, 0}, 2.0);
+    vl::QuadTree tree = builtTree({-10, -10}, {10, 10}, {{{0, 0}, 2.0}});
     vl::Vec2 f = tree.forceAt({3, 0}, 0.5);
     // field = q * d / |d|^3 = 2 * 3 / 27 along +x.
     EXPECT_NEAR(f.x, 2.0 * 3.0 / 27.0, 1e-12);
@@ -112,8 +172,7 @@ TEST(QuadTree, SinglePointField)
 
 TEST(QuadTree, SelfQueryIsFinite)
 {
-    vl::QuadTree tree({-1, -1}, {1, 1});
-    tree.insert({0.5, 0.5}, 1.0);
+    vl::QuadTree tree = builtTree({-1, -1}, {1, 1}, {{{0.5, 0.5}, 1.0}});
     vl::Vec2 f = tree.forceAt({0.5, 0.5}, 0.5);
     EXPECT_DOUBLE_EQ(f.x, 0.0);
     EXPECT_DOUBLE_EQ(f.y, 0.0);
@@ -121,9 +180,9 @@ TEST(QuadTree, SelfQueryIsFinite)
 
 TEST(QuadTree, CoincidentPointsMerge)
 {
-    vl::QuadTree tree({-1, -1}, {1, 1});
-    for (int i = 0; i < 10; ++i)
-        tree.insert({0.25, 0.25}, 1.0);
+    vl::QuadTree tree = builtTree(
+        {-1, -1}, {1, 1},
+        std::vector<vl::QuadTree::Body>(10, {{0.25, 0.25}, 1.0}));
     EXPECT_EQ(tree.pointCount(), 10u);
     vl::Vec2 f = tree.forceAt({0.75, 0.25}, 0.0);
     // Ten unit charges at distance 0.5: 10 * 0.5 / 0.125 = 40.
@@ -133,23 +192,13 @@ TEST(QuadTree, CoincidentPointsMerge)
 TEST(QuadTree, ThetaZeroIsExact)
 {
     viva::support::Rng rng(11);
-    std::vector<std::pair<vl::Vec2, double>> pts;
-    vl::QuadTree tree({0, 0}, {100, 100});
-    for (int i = 0; i < 60; ++i) {
-        vl::Vec2 p{rng.uniform(1.0, 99.0), rng.uniform(1.0, 99.0)};
-        double q = rng.uniform(0.5, 3.0);
-        pts.emplace_back(p, q);
-        tree.insert(p, q);
-    }
+    std::vector<vl::QuadTree::Body> pts;
+    for (int i = 0; i < 60; ++i)
+        pts.push_back({{rng.uniform(1.0, 99.0), rng.uniform(1.0, 99.0)},
+                       rng.uniform(0.5, 3.0)});
+    vl::QuadTree tree = builtTree({0, 0}, {100, 100}, pts);
     vl::Vec2 query{50.0, 50.0};
-    vl::Vec2 exact;
-    for (auto &[p, q] : pts) {
-        vl::Vec2 d = query - p;
-        double dist = d.norm();
-        if (dist < 1e-9)
-            continue;
-        exact += d * (q / (dist * dist * dist));
-    }
+    vl::Vec2 exact = exactField(pts, query);
     vl::Vec2 approx = tree.forceAt(query, 0.0);
     EXPECT_NEAR(approx.x, exact.x, 1e-9);
     EXPECT_NEAR(approx.y, exact.y, 1e-9);
@@ -262,46 +311,20 @@ TEST(QuadTreeArena, BatchBuildAuditsClean)
 
 TEST(QuadTreeArena, BatchMatchesIncrementalAtThetaZero)
 {
-    // With theta = 0 both trees degenerate to the exact pairwise sum,
-    // so the (differently shaped) batch and incremental trees must
-    // agree to rounding at every query point.
+    // With theta = 0 no cell is accepted as a whole, so the walk must
+    // agree with the exact pairwise sum to rounding at every query
+    // point.
     std::vector<vl::QuadTree::Body> bodies = randomBodies(19, 300);
-    vl::QuadTree incremental({-1.0, -1.0}, {501.0, 501.0});
-    for (const auto &b : bodies)
-        incremental.insert(b.position, b.charge);
     vl::QuadTree batch;
     batch.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
 
     viva::support::Rng rng(21);
     for (int i = 0; i < 40; ++i) {
         vl::Vec2 q{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
-        vl::Vec2 a = incremental.forceAt(q, 0.0);
+        vl::Vec2 a = exactField(bodies, q);
         vl::Vec2 b = batch.forceAt(q, 0.0);
         EXPECT_NEAR(a.x, b.x, 1e-9);
         EXPECT_NEAR(a.y, b.y, 1e-9);
-    }
-}
-
-TEST(QuadTreeArena, ScratchOverloadIsBitwiseIdentical)
-{
-    // The zero-allocation forceAt must return the exact same bits as
-    // the allocating overload: the force layout's determinism contract
-    // rides on it.
-    std::vector<vl::QuadTree::Body> bodies = randomBodies(23, 500);
-    vl::QuadTree tree;
-    tree.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
-
-    vl::QuadTree::TraversalStack scratch;
-    viva::support::Rng rng(29);
-    for (double theta : {0.0, 0.5, 0.8, 1.2}) {
-        for (int i = 0; i < 50; ++i) {
-            vl::Vec2 q{rng.uniform(-10.0, 510.0),
-                       rng.uniform(-10.0, 510.0)};
-            vl::Vec2 a = tree.forceAt(q, theta);
-            vl::Vec2 b = tree.forceAt(q, theta, scratch);
-            EXPECT_EQ(a.x, b.x);
-            EXPECT_EQ(a.y, b.y);
-        }
     }
 }
 

@@ -87,7 +87,7 @@ static_assert(!vs::isStrongId<std::uint32_t>);
 static_assert(vt::ContainerId{7}.value() == 7u);
 static_assert(vt::ContainerId::fromIndex(9).index() == 9u);
 static_assert(vl::NodeId{3} < vl::NodeId{4});
-static_assert(vl::kNoCell.value() == -1);
+static_assert(vl::CellId{-1}.value() == -1);
 
 // --- runtime behaviour ----------------------------------------------------------
 
@@ -142,7 +142,7 @@ TEST(StrongId, HashesLikeTheRawInteger)
 TEST(StrongId, FormatsAsTheRawInteger)
 {
     std::ostringstream out;
-    out << vt::ContainerId{12} << ' ' << vl::kNoCell << ' '
+    out << vt::ContainerId{12} << ' ' << vl::CellId{-1} << ' '
         << vt::MetricId{7};
     EXPECT_EQ(out.str(), "12 -1 7");
 }
@@ -150,7 +150,7 @@ TEST(StrongId, FormatsAsTheRawInteger)
 TEST(StrongId, SignedUnderlyingSupportsSentinels)
 {
     vl::CellId cell{-1};
-    EXPECT_EQ(cell, vl::kNoCell);
+    EXPECT_EQ(cell.value(), -1);
     EXPECT_LT(cell, vl::CellId{0});
     EXPECT_EQ(vl::CellId::fromIndex(5).index(), 5u);
 }

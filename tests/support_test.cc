@@ -10,7 +10,6 @@
 #include "support/interval.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
-#include "support/scratch.hh"
 #include "support/stats.hh"
 #include "support/strings.hh"
 
@@ -310,39 +309,4 @@ TEST(Logging, AssertPassesOnTrue)
 {
     VIVA_ASSERT(1 + 1 == 2, "math is broken");
     SUCCEED();
-}
-
-// --- ScratchPool ------------------------------------------------------------
-
-TEST(ScratchPool, AcquireReusesReleasedObjects)
-{
-    vs::ScratchPool<std::vector<int>> pool;
-    EXPECT_EQ(pool.idleCount(), 0u);
-    {
-        auto a = pool.acquire();
-        auto b = pool.acquire();
-        a->resize(1000);
-        b->push_back(7);
-        EXPECT_EQ(pool.idleCount(), 0u);
-    }
-    // Both handles released their objects back, capacity intact.
-    EXPECT_EQ(pool.idleCount(), 2u);
-    {
-        auto c = pool.acquire();
-        EXPECT_EQ(pool.idleCount(), 1u);
-        // Pooled scratch comes back with its old contents; callers
-        // reset what they need (forceAt clears its stack up front).
-        EXPECT_GE(c->capacity(), 1u);
-    }
-    EXPECT_EQ(pool.idleCount(), 2u);
-}
-
-TEST(ScratchPool, MoveTransfersParkedObjects)
-{
-    vs::ScratchPool<std::vector<int>> pool;
-    { auto h = pool.acquire(); h->push_back(1); }
-    ASSERT_EQ(pool.idleCount(), 1u);
-    vs::ScratchPool<std::vector<int>> stolen(std::move(pool));
-    EXPECT_EQ(stolen.idleCount(), 1u);
-    EXPECT_EQ(pool.idleCount(), 0u);
 }
