@@ -27,6 +27,7 @@ main()
     std::printf("=== ablation_linkagg: the link-aggregation caveat ===\n");
 
     bench::DtOutcome outcome = bench::runDt(/*locality=*/false);
+    outcome.trace.ensureClosure();
     const viva::trace::Trace &trace = outcome.trace;
     viva::agg::TimeSlice whole = trace.span();
 

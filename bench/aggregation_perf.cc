@@ -72,6 +72,7 @@ gridTrace()
             t.variable(c, mirror.powerUsed)
                 .set(0.0, rng.uniform(0.0, 5000.0));
         }
+        t.ensureClosure();
         return t;
     }();
     return trace;
@@ -109,7 +110,7 @@ BM_VisibleEdges(benchmark::State &state)
 /**
  * A 10,000-host synthetic grid (10 sites x 10 clusters x 100 hosts)
  * with a short piecewise-constant utilization history per host -- the
- * input for the parallel-aggregation speedup benchmarks.
+ * input for the parallel-aggregation speedup benchmark.
  */
 const vt::Trace &
 bigTrace()
@@ -129,6 +130,7 @@ bigTrace()
                 time += vals.uniform(0.5, 2.0);
             }
         }
+        t.ensureClosure();
         return t;
     }();
     return trace;
@@ -152,20 +154,6 @@ BM_BuildViewParallel(benchmark::State &state)
         benchmark::DoNotOptimize(v);
     }
     state.counters["threads"] = double(threads);
-}
-
-void
-BM_AggregateRootParallel(benchmark::State &state)
-{
-    // One Equation-1 value over all 10k leaves: the chunked ordered
-    // reduction fanned over N workers.
-    const vt::Trace &trace = bigTrace();
-    va::Aggregator agg(trace, std::size_t(state.range(0)));
-    vt::MetricId m = trace.findMetric("power_used");
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            agg.value(trace.root(), m, {0.0, 8.0}));
-    state.counters["threads"] = double(state.range(0));
 }
 
 void
@@ -214,13 +202,6 @@ BENCHMARK(BM_VisibleEdges)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BuildViewParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(BM_AggregateRootParallel)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

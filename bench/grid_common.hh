@@ -66,6 +66,7 @@ runGridScenario(viva::workload::MwPolicy policy, std::size_t tasks = 6000)
 
     GridOutcome out;
     out.trace = std::move(run.trace);
+    out.trace.ensureClosure();
     out.makespan = run.engine.now();
     out.solves = run.engine.fairShareRuns();
     out.tasksApp1 = a1.result().tasksPerWorker;

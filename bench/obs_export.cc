@@ -198,8 +198,8 @@ main(int argc, char **argv)
                      gantt.error().toString().c_str());
 
     // --- slice-query microbench ----------------------------------------
-    // Drives the indexed temporal reductions (the trace.index.build
-    // consumers) over a deterministic slice sweep so the perf gate
+    // Drives the temporal reductions (prefix-integral averages and
+    // max/min scans) over a deterministic slice sweep so the perf gate
     // pins their cost. The histogram is bench-local (registered here,
     // not in src/), so it is exempt from the obs-phase manifest.
     {

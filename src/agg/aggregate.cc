@@ -29,11 +29,11 @@ namespace
 {
 
 /**
- * Leaves per reduction chunk. Fixed -- never derived from the thread
- * count -- so the partial-combination order, and with it every
- * floating-point result, is identical from 1 thread to N. Subtrees of
- * up to kLeafChunk members reduce in one chunk, i.e. exactly the
- * historical left-to-right order.
+ * Carriers per reduction chunk. A subtree's value folds left to right
+ * inside each chunk and the chunk partials combine in order: the
+ * association every released result (goldens, state digests) was
+ * computed with, so changing it would change their last bits. Up to
+ * kLeafChunk carriers reduce in one chunk, i.e. plain left to right.
  */
 constexpr std::size_t kLeafChunk = 64;
 
@@ -86,7 +86,7 @@ fold(Partial &p, double v, SpatialOp op)
     }
 }
 
-/** Chunk-order partial combiner (shared by both fold paths). */
+/** Chunk-order partial combiner. */
 Partial
 combinePartials(Partial a, Partial b, SpatialOp op)
 {
@@ -101,13 +101,10 @@ combinePartials(Partial a, Partial b, SpatialOp op)
 
 } // namespace
 
-Aggregator::Aggregator(const trace::Trace &trace, std::size_t threads)
-    : tr(&trace), nthreads(threads)
+Aggregator::Aggregator(const trace::Trace &trace)
+    : tr(&trace),
+      valuesCounter(obs::Registry::global().counter("agg.values"))
 {
-    obs::Registry &reg = obs::Registry::global();
-    valuesCounter = reg.counter("agg.values");
-    closureHits = reg.counter("agg.closure.hits");
-    closureMisses = reg.counter("agg.closure.misses");
 }
 
 double
@@ -119,54 +116,21 @@ Aggregator::value(ContainerId node, MetricId m, const TimeSlice &slice,
     // here would dominate the quantity being measured. buildView()
     // times the enclosing pass instead.
     obs::Registry &reg = obs::Registry::global();
-    const bool armed = reg.enabled();
-    if (armed)
+    if (reg.enabled())
         reg.add(valuesCounter);
 
-    support::ThreadPool &pool = support::ThreadPool::global();
-    auto combine = [op](Partial a, Partial b) {
-        return combinePartials(a, b, op);
-    };
-
+    // Every container in the subtree that carries the variable
+    // contributes -- not just leaves, since traces may attach
+    // measurements at any level (hosts with process children, say).
+    std::span<const trace::Variable *const> carried =
+        tr->carriers(node, m);
     Partial total;
-    if (tr->closureFresh()) {
-        // The cached Eq.-1 fold: no subtree materialization, no
-        // findVariable hash lookups -- just the precomputed carrier
-        // list, reduced over the same fixed-size chunks.
-        if (armed)
-            reg.add(closureHits);
-        std::span<const trace::Variable *const> carried =
-            tr->carriers(node, m);
-        total = pool.reduceOrdered<Partial>(
-            0, carried.size(), kLeafChunk, nthreads, Partial{},
-            [&](std::size_t lo, std::size_t hi) {
-                Partial p;
-                for (std::size_t i = lo; i < hi; ++i)
-                    fold(p, reduce(*carried[i], slice, top), op);
-                return p;
-            },
-            combine);
-    } else {
-        // Every container in the subtree that carries the variable
-        // contributes -- not just leaves, since traces may attach
-        // measurements at any level (hosts with process children, say).
-        if (armed)
-            reg.add(closureMisses);
-        std::vector<ContainerId> members = tr->subtree(node);
-        total = pool.reduceOrdered<Partial>(
-            0, members.size(), kLeafChunk, nthreads, Partial{},
-            [&](std::size_t lo, std::size_t hi) {
-                Partial p;
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const trace::Variable *var =
-                        tr->findVariable(members[i], m);
-                    if (!var || var->empty())
-                        continue;
-                    fold(p, reduce(*var, slice, top), op);
-                }
-                return p;
-            },
-            combine);
+    for (std::size_t lo = 0; lo < carried.size(); lo += kLeafChunk) {
+        const std::size_t hi = std::min(carried.size(), lo + kLeafChunk);
+        Partial p;
+        for (std::size_t i = lo; i < hi; ++i)
+            fold(p, reduce(*carried[i], slice, top), op);
+        total = combinePartials(total, p, op);
     }
     if (!total.any)
         return 0.0;
@@ -179,50 +143,9 @@ support::Samples
 Aggregator::distribution(ContainerId node, MetricId m,
                          const TimeSlice &slice, TemporalOp top) const
 {
-    // Per-chunk sample vectors concatenated in chunk order: the sample
-    // sequence equals the serial traversal for every thread count --
-    // and for both fold paths, since the carrier list holds exactly
-    // the non-empty subtree variables in preorder.
-    support::ThreadPool &pool = support::ThreadPool::global();
-    std::vector<double> all;
-    auto concat = [](std::vector<double> a, std::vector<double> b) {
-        a.insert(a.end(), b.begin(), b.end());
-        return a;
-    };
-    if (tr->closureFresh()) {
-        std::span<const trace::Variable *const> carried =
-            tr->carriers(node, m);
-        all = pool.reduceOrdered<std::vector<double>>(
-            0, carried.size(), kLeafChunk, nthreads,
-            std::vector<double>{},
-            [&](std::size_t lo, std::size_t hi) {
-                std::vector<double> part;
-                part.reserve(hi - lo);
-                for (std::size_t i = lo; i < hi; ++i)
-                    part.push_back(reduce(*carried[i], slice, top));
-                return part;
-            },
-            concat);
-    } else {
-        std::vector<ContainerId> members = tr->subtree(node);
-        all = pool.reduceOrdered<std::vector<double>>(
-            0, members.size(), kLeafChunk, nthreads,
-            std::vector<double>{},
-            [&](std::size_t lo, std::size_t hi) {
-                std::vector<double> part;
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const trace::Variable *var =
-                        tr->findVariable(members[i], m);
-                    if (var && !var->empty())
-                        part.push_back(reduce(*var, slice, top));
-                }
-                return part;
-            },
-            concat);
-    }
     support::Samples samples;
-    for (double v : all)
-        samples.add(v);
+    for (const trace::Variable *var : tr->carriers(node, m))
+        samples.add(reduce(*var, slice, top));
     return samples;
 }
 
@@ -301,9 +224,8 @@ buildViewImpl(const trace::Trace &trace, const HierarchyCut &cut,
 
     // One slot per visible node, filled by exactly one worker: the
     // parallel build writes the same bits the serial one would, in the
-    // same node order, for every thread count. The per-subtree
-    // reduction below stays serial inside a worker (nested parallel
-    // calls run inline), so its chunk order is fixed as well.
+    // same node order, for every thread count. The Aggregator is
+    // serial, so this is the only parallel level.
     std::vector<ContainerId> visible = cut.visibleNodes();
     view.nodes.resize(visible.size());
     Aggregator agg(trace);
@@ -484,7 +406,7 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
         return log;
     }
 
-    Aggregator serial(trace);  // thread count 1: the reference fold
+    Aggregator serial(trace);  // the reference fold, off the pool
     for (std::size_t i = 0; i < view.nodes.size(); ++i) {
         const ViewNode &node = view.nodes[i];
         if (node.id != visible[i]) {

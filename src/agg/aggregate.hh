@@ -69,30 +69,19 @@ struct MetricRequest
 };
 
 /**
- * Computes aggregated values against one trace. Stateless apart from
- * the borrowed trace and the thread knob; cheap to construct.
+ * Computes aggregated values against one finalized trace (see
+ * Trace::ensureClosure; querying a trace whose closure is stale
+ * panics). Stateless apart from the borrowed trace; cheap to
+ * construct. Serial: buildView parallelizes over visible nodes.
  *
- * Reductions over a subtree run over fixed-size leaf chunks whose
- * partials combine in ascending chunk order, so the result is bitwise
- * identical for every thread count (the chunk decomposition never
- * depends on it).
+ * A subtree's carriers reduce in fixed-size chunks whose partials
+ * combine in ascending chunk order, the association every released
+ * result was computed with.
  */
 class Aggregator
 {
   public:
-    /**
-     * @param threads workers for the per-leaf reduction; 1 (default)
-     *        is serial, 0 means hardware_concurrency. Any value yields
-     *        bitwise-identical results.
-     */
-    explicit Aggregator(const trace::Trace &trace,
-                        std::size_t threads = 1);
-
-    /** Change the worker count (same semantics as the constructor). */
-    void setThreads(std::size_t threads) { nthreads = threads; }
-
-    /** The configured worker count. */
-    std::size_t threads() const { return nthreads; }
+    explicit Aggregator(const trace::Trace &trace);
 
     /**
      * Equation 1 for a single container: combine the temporal
@@ -116,15 +105,12 @@ class Aggregator
 
   private:
     const trace::Trace *tr;
-    std::size_t nthreads = 1;
     /**
      * Registered once at construction (not per query with a static
      * local), so the disarmed hot path pays one relaxed enabled() load
      * and zero registry lookups.
      */
     support::obs::CounterId valuesCounter;
-    support::obs::CounterId closureHits;
-    support::obs::CounterId closureMisses;
 };
 
 /** An edge between two visible nodes of an aggregated view. */

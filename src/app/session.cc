@@ -58,11 +58,11 @@ Session::Session(trace::Trace trace_in)
       graph(), force(graph), nThreads(support::defaultThreadCount())
 {
     force.params().threads = nThreads;
-    // Hand-built traces (tests, examples) may arrive unaccelerated;
+    // Hand-built traces (tests, examples) may arrive unfinalized;
     // readers and TraceBuilder::take() have already done this. The
     // session never mutates the trace outside load()/restore(), so the
-    // caches stay fresh across every interactive command.
-    tr.ensureQueryAcceleration();
+    // closure stays fresh across every interactive command.
+    tr.ensureClosure();
     syncLayout();
     maybeAudit("Session::Session");
 }
@@ -119,7 +119,7 @@ Session::load(const std::string &path, const trace::ParseBudget &budget)
     for (const std::string &w : import_warnings)
         support::warnLimited("paje.import", "Session::load", w);
     tr = std::move(staged);
-    tr.ensureQueryAcceleration();
+    tr.ensureClosure();
     hierCut = agg::HierarchyCut(tr);
     slice = tr.span();
     visMapping = viz::VisualMapping::defaults(tr);
@@ -1015,7 +1015,7 @@ Session::restore(const std::string &path,
     // constructor order (the ForceLayout borrows `graph` by
     // reference), then overlay the persisted node state.
     tr = std::move(staged);
-    tr.ensureQueryAcceleration();
+    tr.ensureClosure();
     hierCut = agg::HierarchyCut(tr);
     support::Expected<void> applied =
         hierCut.setCollapsedFlags(image->cutFlags);

@@ -5,6 +5,7 @@
 
 #include "support/threadpool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>

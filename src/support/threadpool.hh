@@ -1,18 +1,11 @@
 /**
  * @file
- * A fixed worker pool with chunked parallel-for and ordered reduction,
- * built so that parallel results are *bitwise identical* to serial ones:
- *
- *  - parallelFor() splits an index range into chunks and hands chunks to
- *    at most `threads` concurrent runners (the calling thread is one of
- *    them). Which runner executes which chunk is scheduling-dependent,
- *    so chunk bodies must only write to per-index or per-chunk slots.
- *  - reduceOrdered() maps fixed-size chunks to partial values and then
- *    combines the partials on the calling thread in ascending chunk
- *    order. The chunk decomposition depends only on the range and the
- *    grain -- never on the thread count -- so the floating-point
- *    reduction order (and therefore the result) is identical whether
- *    the map phase ran on 1 thread or 16.
+ * A fixed worker pool with a chunked parallel-for, built so that
+ * parallel results are *bitwise identical* to serial ones:
+ * parallelFor() splits an index range into chunks and hands chunks to
+ * at most `threads` concurrent runners (the calling thread is one of
+ * them). Which runner executes which chunk is scheduling-dependent, so
+ * chunk bodies must only write to per-index or per-chunk slots.
  *
  * Exceptions thrown by a chunk body are captured and rethrown on the
  * calling thread after the whole batch has drained, leaving the pool
@@ -22,14 +15,12 @@
 
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "support/thread_annotations.hh"
@@ -79,39 +70,6 @@ class ThreadPool
      */
     void parallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                      std::size_t threads, const ChunkFn &fn);
-
-    /**
-     * Deterministic parallel reduction: `map(lo, hi)` produces one
-     * partial per chunk (chunks of exactly `grain`, last one ragged),
-     * and `combine(acc, partial)` folds the partials left-to-right in
-     * chunk order on the calling thread. The decomposition is a pure
-     * function of (begin, end, grain), so the result is bitwise
-     * independent of `threads`.
-     */
-    template <typename T, typename MapFn, typename CombineFn>
-    T
-    reduceOrdered(std::size_t begin, std::size_t end, std::size_t grain,
-                  std::size_t threads, T init, MapFn &&map,
-                  CombineFn &&combine)
-    {
-        if (end <= begin)
-            return init;
-        grain = std::max<std::size_t>(grain, 1);
-        const std::size_t nchunks = (end - begin + grain - 1) / grain;
-        std::vector<T> parts(nchunks);
-        parallelFor(0, nchunks, 1, threads,
-                    [&](std::size_t clo, std::size_t chi) {
-                        for (std::size_t c = clo; c < chi; ++c) {
-                            std::size_t lo = begin + c * grain;
-                            std::size_t hi = std::min(end, lo + grain);
-                            parts[c] = map(lo, hi);
-                        }
-                    });
-        T acc = std::move(init);
-        for (std::size_t c = 0; c < nchunks; ++c)
-            acc = combine(std::move(acc), std::move(parts[c]));
-        return acc;
-    }
 
     /** The process-wide pool shared by layout and aggregation. */
     static ThreadPool &global();

@@ -27,11 +27,11 @@ class TraceBuilder
     /** The trace under construction (also accessible while building). */
     Trace &trace() { return result; }
 
-    /** Move the finished trace out, query acceleration built. */
+    /** Move the finished trace out, finalized (closure built). */
     Trace
     take()
     {
-        result.ensureQueryAcceleration();
+        result.ensureClosure();
         return std::move(result);
     }
 

@@ -296,9 +296,9 @@ readTrace(std::istream &in, const ParseBudget &budget)
         return fail(Errc::Io, "stream read failure");
     reg.add(record_count, records + trace.containerCount() - 1 +
                               trace.metricCount());
-    // Load time is when the O(log n) query structures are built, so
-    // every later slice query (interactive or batch) starts indexed.
-    trace.ensureQueryAcceleration();
+    // Finalize at load time, so every later Eq.-1 query (interactive
+    // or batch) finds the closure fresh.
+    trace.ensureClosure();
     return trace;
 }
 

@@ -447,8 +447,8 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
         }
     }
 
-    // Build the query acceleration at load time, like the native reader.
-    trace.ensureQueryAcceleration();
+    // Finalize at load time, like the native reader.
+    trace.ensureClosure();
     return result;
 }
 

@@ -88,23 +88,16 @@ Trace::Trace(const Trace &other)
       rels(other.rels), relSet(other.relSet),
       stateLog(other.stateLog), mutations(other.mutations)
 {
-    // `closure` stays empty: it would point into `other`'s variables.
+    // `closure` would point into `other`'s variables: rebuild it.
+    if (other.closureFresh())
+        ensureClosure();
 }
 
 Trace &
 Trace::operator=(const Trace &other)
 {
-    if (this == &other)
-        return *this;
-    nodes = other.nodes;
-    metricTable = other.metricTable;
-    metricByName = other.metricByName;
-    vars = other.vars;
-    rels = other.rels;
-    relSet = other.relSet;
-    stateLog = other.stateLog;
-    mutations = other.mutations;
-    closure = Closure{};
+    if (this != &other)
+        *this = Trace(other);
     return *this;
 }
 
@@ -392,26 +385,6 @@ Trace::span() const
 }
 
 void
-Trace::ensureSliceIndexes()
-{
-    namespace obs = support::obs;
-    obs::Registry &reg = obs::Registry::global();
-    static const obs::HistogramId phase =
-        reg.histogram("trace.index.build");
-    obs::ScopedPhase timer(phase);
-
-    // Sorted key order: the build sequence (and any diagnostics it may
-    // ever emit) is independent of the hash layout.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(vars.size());
-    for (const auto &entry : vars)  // viva-lint: allow(unordered-iter)
-        keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    for (std::uint64_t key : keys)
-        vars.at(key).buildIndex();
-}
-
-void
 Trace::ensureClosure()
 {
     if (closureFresh())
@@ -465,13 +438,6 @@ Trace::ensureClosure()
     closure.carrierOff.back() =
         std::uint32_t(closure.carrierVars.size());
     closure.builtVersion = mutations;
-}
-
-void
-Trace::ensureQueryAcceleration()
-{
-    ensureSliceIndexes();
-    ensureClosure();
 }
 
 std::span<const ContainerId>
@@ -591,7 +557,7 @@ Trace::auditInvariants() const
                           ") has unsorted change points at index ", i);
         if (!var.indexConsistent())
             auditFail(log, "variable (", c, ", ", m,
-                      ") carries a slice index inconsistent with its "
+                      ") carries a prefix integral inconsistent with its "
                       "points");
     }
 

@@ -53,10 +53,10 @@ class Trace
     Trace();
 
     /**
-     * Copies drop the query-acceleration caches: the closure cache
-     * holds Variable pointers into this trace's storage, which a
-     * copied trace must not share. Moves keep them (unordered_map
-     * nodes keep their addresses across a move).
+     * Copies rebuild the closure cache when the source's was fresh:
+     * the cache holds Variable pointers into a trace's own storage, so
+     * it cannot be shared. Moves keep it (unordered_map nodes keep
+     * their addresses across a move).
      */
     Trace(const Trace &other);
     Trace &operator=(const Trace &other);
@@ -182,7 +182,7 @@ class Trace
     /** The observation period T: hull of all variable points and states. */
     support::Interval span() const;
 
-    // --- query acceleration ------------------------------------------------
+    // --- the hierarchy closure ---------------------------------------------
 
     /**
      * Monotone mutation version, bumped by every mutating call
@@ -193,22 +193,15 @@ class Trace
     std::uint64_t version() const { return mutations; }
 
     /**
-     * Build the per-variable slice-query indexes (see
-     * Variable::buildIndex), in sorted (container, metric) key order so
-     * the build is deterministic. Sequential; idempotent when clean.
-     */
-    void ensureSliceIndexes();
-
-    /**
-     * Build (or refresh) the hierarchy-closure cache: the preorder
-     * subtree member list of every container plus, per (container,
-     * metric), the list of non-empty carrying variables — the exact
-     * sequence the Eq.-1 fold visits. No-op when already fresh.
+     * Finalize the trace for queries: build (or refresh) the
+     * hierarchy-closure cache, i.e. the preorder subtree member list
+     * of every container plus, per (container, metric), the list of
+     * non-empty carrying variables — the exact sequence the Eq.-1 fold
+     * visits. No-op when already fresh. The readers,
+     * TraceBuilder::take() and every Session entry point call it;
+     * hand-built traces must call it before aggregating.
      */
     void ensureClosure();
-
-    /** ensureSliceIndexes() + ensureClosure(). */
-    void ensureQueryAcceleration();
 
     /** True when the closure cache matches the current version. */
     bool closureFresh() const
@@ -272,7 +265,7 @@ class Trace
      * `carrierVars` holds, per (container, metric) in
      * container-major order, the non-empty variables of that subtree
      * (offsets in `carrierOff`). Pointers reference `vars` storage, so
-     * copies must drop the cache; mutations invalidate it via
+     * copies rebuild the cache; mutations invalidate it via
      * `mutations` != `builtVersion`.
      */
     struct Closure

@@ -6,7 +6,6 @@
 #include "trace/variable.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "support/logging.hh"
 
@@ -36,24 +35,42 @@ Variable::indexAt(double t) const
 void
 Variable::set(double t, double v)
 {
-    indexClean = false;
     if (points.empty() || points.back().time < t) {
         points.push_back({t, v});
+        refreshPrefix(points.size() - 1);
         return;
     }
     if (points.back().time == t) {
+        // cum[i] depends on values before i only: nothing to refresh.
         points.back().value = v;
         return;
     }
-    // Out-of-order insert.
+    // Out-of-order insert or in-place change.
     auto it = std::lower_bound(points.begin(), points.end(), t,
                                [](const Point &p, double rhs) {
                                    return p.time < rhs;
                                });
-    if (it != points.end() && it->time == t)
+    std::size_t at = std::size_t(it - points.begin());
+    if (it != points.end() && it->time == t) {
         it->value = v;
-    else
+        refreshPrefix(at + 1);
+    } else {
         points.insert(it, {t, v});
+        refreshPrefix(at);
+    }
+}
+
+void
+Variable::refreshPrefix(std::size_t from)
+{
+    const std::size_t n = points.size();
+    cum.resize(n);
+    if (n == 0)
+        return;
+    cum[0] = 0.0;
+    for (std::size_t i = std::max<std::size_t>(from, 1); i < n; ++i)
+        cum[i] = cum[i - 1] +
+                 points[i - 1].value * (points[i].time - points[i - 1].time);
 }
 
 void
@@ -70,34 +87,8 @@ Variable::valueAt(double t) const
 }
 
 double
-Variable::integrateScan(double a, double b) const
-{
-    VIVA_ASSERT(a <= b, "reversed integration bounds [", a, ", ", b, ")");
-    if (points.empty() || a == b)
-        return 0.0;
-
-    double total = 0.0;
-    std::size_t i = indexAt(a);
-    double cursor = a;
-    double current = i == npos ? 0.0 : points[i].value;
-    // Walk the change points inside (a, b).
-    std::size_t next = (i == npos) ? 0 : i + 1;
-    while (next < points.size() && points[next].time < b) {
-        double t = std::max(points[next].time, a);
-        total += current * (t - cursor);
-        cursor = t;
-        current = points[next].value;
-        ++next;
-    }
-    total += current * (b - cursor);
-    return total;
-}
-
-double
 Variable::integrate(double a, double b) const
 {
-    if (!indexClean)
-        return integrateScan(a, b);
     VIVA_ASSERT(a <= b, "reversed integration bounds [", a, ", ", b, ")");
     if (points.empty() || a == b)
         return 0.0;
@@ -128,7 +119,7 @@ Variable::average(double a, double b) const
 }
 
 double
-Variable::maxOverScan(double a, double b) const
+Variable::maxOver(double a, double b) const
 {
     double best = valueAt(a);
     std::size_t i = indexAt(a);
@@ -141,29 +132,7 @@ Variable::maxOverScan(double a, double b) const
 }
 
 double
-Variable::maxOver(double a, double b) const
-{
-    if (!indexClean)
-        return maxOverScan(a, b);
-    double best = valueAt(a);
-    std::size_t i = indexAt(a);
-    std::size_t first = (i == npos) ? 0 : i + 1;
-    // Last point strictly before b; the sparse table covers the points
-    // inside (a, b), exactly the set the scan visits.
-    auto it = std::lower_bound(points.begin(), points.end(), b,
-                               [](const Point &p, double rhs) {
-                                   return p.time < rhs;
-                               });
-    if (it == points.begin())
-        return best;
-    std::size_t last = std::size_t(it - points.begin()) - 1;
-    if (first <= last)
-        best = std::max(best, rangeMax(first, last));
-    return best;
-}
-
-double
-Variable::minOverScan(double a, double b) const
+Variable::minOver(double a, double b) const
 {
     double best = valueAt(a);
     std::size_t i = indexAt(a);
@@ -175,99 +144,13 @@ Variable::minOverScan(double a, double b) const
     return best;
 }
 
-double
-Variable::minOver(double a, double b) const
-{
-    if (!indexClean)
-        return minOverScan(a, b);
-    double best = valueAt(a);
-    std::size_t i = indexAt(a);
-    std::size_t first = (i == npos) ? 0 : i + 1;
-    auto it = std::lower_bound(points.begin(), points.end(), b,
-                               [](const Point &p, double rhs) {
-                                   return p.time < rhs;
-                               });
-    if (it == points.begin())
-        return best;
-    std::size_t last = std::size_t(it - points.begin()) - 1;
-    if (first <= last)
-        best = std::min(best, rangeMin(first, last));
-    return best;
-}
-
-double
-Variable::rangeMax(std::size_t lo, std::size_t hi) const
-{
-    std::size_t len = hi - lo + 1;
-    std::size_t k = std::size_t(std::bit_width(len)) - 1;
-    return std::max(maxTab[k][lo],
-                    maxTab[k][hi + 1 - (std::size_t(1) << k)]);
-}
-
-double
-Variable::rangeMin(std::size_t lo, std::size_t hi) const
-{
-    std::size_t len = hi - lo + 1;
-    std::size_t k = std::size_t(std::bit_width(len)) - 1;
-    return std::min(minTab[k][lo],
-                    minTab[k][hi + 1 - (std::size_t(1) << k)]);
-}
-
-void
-Variable::computeIndex(std::vector<double> &cum_out,
-                       std::vector<std::vector<double>> &max_out,
-                       std::vector<std::vector<double>> &min_out) const
-{
-    const std::size_t n = points.size();
-    cum_out.assign(n, 0.0);
-    for (std::size_t i = 1; i < n; ++i)
-        cum_out[i] = cum_out[i - 1] +
-                     points[i - 1].value *
-                         (points[i].time - points[i - 1].time);
-
-    const std::size_t levels = n == 0 ? 0 : std::size_t(std::bit_width(n));
-    max_out.assign(levels, {});
-    min_out.assign(levels, {});
-    if (n == 0)
-        return;
-    max_out[0].resize(n);
-    min_out[0].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        max_out[0][i] = points[i].value;
-        min_out[0][i] = points[i].value;
-    }
-    for (std::size_t k = 1; k < levels; ++k) {
-        const std::size_t w = std::size_t(1) << k;
-        max_out[k].resize(n - w + 1);
-        min_out[k].resize(n - w + 1);
-        for (std::size_t i = 0; i + w <= n; ++i) {
-            max_out[k][i] =
-                std::max(max_out[k - 1][i], max_out[k - 1][i + w / 2]);
-            min_out[k][i] =
-                std::min(min_out[k - 1][i], min_out[k - 1][i + w / 2]);
-        }
-    }
-}
-
-void
-Variable::buildIndex()
-{
-    if (indexClean)
-        return;
-    computeIndex(cum, maxTab, minTab);
-    indexClean = true;
-}
-
 bool
 Variable::indexConsistent() const
 {
-    if (!indexClean)
-        return true;
-    std::vector<double> cum_ref;
-    std::vector<std::vector<double>> max_ref;
-    std::vector<std::vector<double>> min_ref;
-    computeIndex(cum_ref, max_ref, min_ref);
-    return cum == cum_ref && maxTab == max_ref && minTab == min_ref;
+    Variable fresh;
+    fresh.points = points;
+    fresh.refreshPrefix(0);
+    return cum == fresh.cum;
 }
 
 double
@@ -287,7 +170,6 @@ Variable::compact()
 {
     if (points.size() < 2)
         return 0;
-    indexClean = false;
     std::size_t before = points.size();
     std::vector<Point> kept;
     kept.reserve(points.size());
@@ -297,6 +179,7 @@ Variable::compact()
         kept.push_back(p);
     }
     points = std::move(kept);
+    refreshPrefix(0);
     return before - points.size();
 }
 

@@ -1,19 +1,23 @@
 /**
  * @file
- * Differential tests of the slice-query index (indexed vs linear-scan
- * temporal reductions) and of the hierarchy-closure cache behind the
- * parallel Equation-1 fold: the accelerated paths must agree with the
- * reference scans to 1e-12 relative error, and every mutating Trace
- * call must invalidate the caches so stale answers are impossible.
+ * Differential tests of the variable's prefix integral (kept current
+ * on every write) and of the hierarchy-closure cache behind the
+ * Equation-1 fold, against the reference scans of fold_oracle.hh: the
+ * integral must agree to 1e-12 relative error, the fold bit for bit,
+ * and every mutating Trace call must invalidate the closure so a stale
+ * answer is impossible -- aggregating a stale trace panics.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "agg/aggregate.hh"
 #include "agg/hierarchy_cut.hh"
+#include "fold_oracle.hh"
 #include "support/random.hh"
 #include "trace/builder.hh"
 #include "trace/trace.hh"
@@ -21,6 +25,7 @@
 
 namespace va = viva::agg;
 namespace vt = viva::trace;
+namespace oracle = viva::oracle;
 
 namespace
 {
@@ -49,36 +54,47 @@ randomVariable(std::size_t n, std::uint64_t seed)
     return v;
 }
 
-/** Every reduction, indexed vs scan, on one slice. */
+/** The values attained inside [a, b): the one at a, then (a, b). */
+std::vector<double>
+valuesOver(const vt::Variable &v, double a, double b)
+{
+    std::vector<double> out{v.valueAt(a)};
+    for (const vt::Variable::Point &p : v.changePoints())
+        if (p.time > a && p.time < b)
+            out.push_back(p.value);
+    return out;
+}
+
+/** Every reduction against the reference scans, on one slice. */
 void
 expectAllOpsAgree(const vt::Variable &v, double a, double b)
 {
-    ASSERT_TRUE(v.indexed());
-    EXPECT_LE(relErr(v.integrate(a, b), v.integrateScan(a, b)), kTol)
+    ASSERT_TRUE(v.indexConsistent());
+    EXPECT_LE(relErr(v.integrate(a, b), oracle::scanIntegral(v, a, b)),
+              kTol)
         << "integrate over [" << a << ", " << b << ")";
-    EXPECT_EQ(v.maxOver(a, b), v.maxOverScan(a, b))
+    std::vector<double> seen = valuesOver(v, a, b);
+    EXPECT_EQ(v.maxOver(a, b), *std::max_element(seen.begin(), seen.end()))
         << "maxOver over [" << a << ", " << b << ")";
-    EXPECT_EQ(v.minOver(a, b), v.minOverScan(a, b))
+    EXPECT_EQ(v.minOver(a, b), *std::min_element(seen.begin(), seen.end()))
         << "minOver over [" << a << ", " << b << ")";
     // average = integrate / width, so it inherits the integral bound;
     // check it anyway because it is the Equation-1 default.
     double width = b - a;
     if (width > 0.0) {
         EXPECT_LE(relErr(v.average(a, b),
-                         v.integrateScan(a, b) / width),
+                         oracle::scanIntegral(v, a, b) / width),
                   kTol);
     }
 }
 
 } // namespace
 
-// --- indexed vs scan, per TemporalOp --------------------------------------
+// --- prefix integral vs scan, per TemporalOp ------------------------------
 
 TEST(AggIndexDifferential, RandomSlicesAllOpsAgree)
 {
     vt::Variable v = randomVariable(500, 1);
-    v.buildIndex();
-    ASSERT_TRUE(v.indexConsistent());
 
     viva::support::Rng rng(2);
     double span = v.lastTime() - v.firstTime();
@@ -95,7 +111,6 @@ TEST(AggIndexDifferential, TinySlicesDeepIntoTheTrace)
     // The cancellation stress: a slice much narrower than the prefix
     // integral it would naively be computed from.
     vt::Variable v = randomVariable(2000, 3);
-    v.buildIndex();
     viva::support::Rng rng(4);
     for (int i = 0; i < 200; ++i) {
         double a = rng.uniform(v.firstTime(), v.lastTime());
@@ -107,7 +122,6 @@ TEST(AggIndexDifferential, TinySlicesDeepIntoTheTrace)
 TEST(AggIndexDifferential, SliceBoundariesOnChangePoints)
 {
     vt::Variable v = randomVariable(64, 5);
-    v.buildIndex();
     const auto &pts = v.changePoints();
     for (std::size_t i = 0; i < pts.size(); ++i)
         for (std::size_t j = i; j < pts.size(); j += 7)
@@ -117,8 +131,6 @@ TEST(AggIndexDifferential, SliceBoundariesOnChangePoints)
 TEST(AggIndexDifferential, EmptyVariable)
 {
     vt::Variable v;
-    v.buildIndex();
-    EXPECT_TRUE(v.indexed());
     expectAllOpsAgree(v, 0.0, 10.0);
     EXPECT_DOUBLE_EQ(v.integrate(0.0, 10.0), 0.0);
     EXPECT_DOUBLE_EQ(v.average(0.0, 10.0), 0.0);
@@ -128,7 +140,6 @@ TEST(AggIndexDifferential, SinglePointVariable)
 {
     vt::Variable v;
     v.set(5.0, 42.0);
-    v.buildIndex();
     expectAllOpsAgree(v, 0.0, 4.0);    // entirely before
     expectAllOpsAgree(v, 6.0, 9.0);    // entirely after the point
     expectAllOpsAgree(v, 0.0, 10.0);   // spanning
@@ -138,7 +149,6 @@ TEST(AggIndexDifferential, SinglePointVariable)
 TEST(AggIndexDifferential, DegenerateAndOutOfRangeSlices)
 {
     vt::Variable v = randomVariable(100, 6);
-    v.buildIndex();
     double lo = v.firstTime(), hi = v.lastTime();
 
     // Degenerate: a == b.
@@ -158,43 +168,44 @@ TEST(AggIndexDifferential, DegenerateAndOutOfRangeSlices)
     expectAllOpsAgree(v, lo - 100.0, hi + 100.0);
 }
 
-// --- index invalidation ----------------------------------------------------
+// --- the prefix integral under mutation --------------------------------------
 
-TEST(AggIndexDifferential, SetInvalidatesTheIndex)
+TEST(AggIndexDifferential, EveryMutationKeepsThePrefixCurrent)
 {
     vt::Variable v = randomVariable(50, 7);
-    v.buildIndex();
-    ASSERT_TRUE(v.indexed());
+    const double mid = 0.5 * (v.firstTime() + v.lastTime());
+    auto check = [&](const char *what) {
+        SCOPED_TRACE(what);
+        EXPECT_TRUE(v.indexConsistent());
+        for (double a : {v.firstTime() - 1.0, v.firstTime(), mid})
+            for (double b : {mid, v.lastTime(), v.lastTime() + 10.0})
+                if (a <= b)
+                    expectAllOpsAgree(v, a, b);
+    };
+    check("built by appends");
 
-    v.set(1e6, 3.0);
-    EXPECT_FALSE(v.indexed());
-    // Queries on a dirty index fall back to the scan -- identical by
-    // construction, but assert the contract anyway.
-    EXPECT_DOUBLE_EQ(v.integrate(0.0, 2e6), v.integrateScan(0.0, 2e6));
+    v.set(v.lastTime() + 2.0, 5.0);
+    check("append");
 
-    v.buildIndex();
-    EXPECT_TRUE(v.indexed());
-    EXPECT_TRUE(v.indexConsistent());
-    expectAllOpsAgree(v, 0.0, 2e6);
-}
+    v.set(v.lastTime(), -7.0);
+    check("replace the last value");
 
-TEST(AggIndexDifferential, AddAndCompactInvalidate)
-{
-    vt::Variable v;
-    v.set(0.0, 5.0);
-    v.set(1.0, 5.0);  // redundant: compact() removes it
-    v.buildIndex();
-    ASSERT_TRUE(v.indexed());
+    v.set(v.firstTime() - 3.0, 11.0);
+    check("out-of-order insert at the front");
 
-    v.add(2.0, 1.0);
-    EXPECT_FALSE(v.indexed());
-    v.buildIndex();
-    ASSERT_TRUE(v.indexed());
+    const auto &pts = v.changePoints();
+    v.set(0.5 * (pts[20].time + pts[21].time), 13.0);
+    check("out-of-order insert in the middle");
 
+    v.set(pts[30].time, 17.0);
+    check("in-place change in the middle");
+
+    v.add(mid, 4.0);
+    check("add");
+
+    v.set(v.lastTime() + 1.0, v.changePoints().back().value);
     EXPECT_EQ(v.compact(), 1u);
-    EXPECT_FALSE(v.indexed());
-    v.buildIndex();
-    EXPECT_TRUE(v.indexConsistent());
+    check("compact");
 }
 
 // --- the hierarchy-closure cache ------------------------------------------
@@ -245,7 +256,7 @@ TEST(ClosureCache, BuilderTakeBuildsAcceleration)
     EXPECT_TRUE(f.trace.closureFresh());
     const vt::Variable *v = f.trace.findVariable(f.h1, f.power);
     ASSERT_NE(v, nullptr);
-    EXPECT_TRUE(v->indexed());
+    EXPECT_TRUE(v->indexConsistent());
 }
 
 TEST(ClosureCache, CachedSubtreeMatchesRecomputation)
@@ -297,16 +308,19 @@ TEST(ClosureCache, MutationInvalidatesAndFallbackStaysCorrect)
     EXPECT_GT(f.trace.version(), before);
     EXPECT_FALSE(f.trace.closureFresh());
 
-    // The stale-cache path answers from the legacy recomputation --
-    // same value for an unchanged slice.
-    EXPECT_DOUBLE_EQ(agg.value(f.trace.root(), f.power, slice),
-                     cached_total);
-
-    // Rebuilding re-arms the cache and the answers still agree.
-    f.trace.ensureQueryAcceleration();
+    // Rebuilding re-arms the cache; the answer matches the reference
+    // fold, the same value for an unchanged slice and the new one for a
+    // slice that sees the mutation.
+    f.trace.ensureClosure();
     EXPECT_TRUE(f.trace.closureFresh());
+    EXPECT_EQ(agg.value(f.trace.root(), f.power, slice),
+              oracle::oracleValue(f.trace, f.trace.root(), f.power, slice));
     EXPECT_DOUBLE_EQ(agg.value(f.trace.root(), f.power, slice),
                      cached_total);
+    va::TimeSlice later{10.0, 20.0};
+    EXPECT_DOUBLE_EQ(agg.value(f.trace.root(), f.power, later), 140.0);
+    EXPECT_EQ(agg.value(f.trace.root(), f.power, later),
+              oracle::oracleValue(f.trace, f.trace.root(), f.power, later));
 }
 
 TEST(ClosureCache, EveryMutatorBumpsTheVersion)
@@ -344,22 +358,18 @@ TEST(ClosureCache, CachedAndFallbackAggregationsAgreeOnAllOps)
         va::TemporalOp::Average, va::TemporalOp::Max, va::TemporalOp::Min,
         va::TemporalOp::Integral};
 
-    // Compute once against the fresh closure, then dirty the trace (a
-    // no-op mutation: variable() on an existing pair) and recompute via
-    // the fallback. Bitwise equality is the contract: the cached fold
-    // runs the same chunk decomposition over the same variable list.
-    for (va::SpatialOp s : sops) {
-        for (va::TemporalOp t : tops) {
-            f.trace.ensureQueryAcceleration();
-            ASSERT_TRUE(f.trace.closureFresh());
-            double cached =
-                agg.value(f.s1, f.power, slice, s, t);
-            f.trace.variable(f.h2, f.power);  // bump: cache goes stale
-            ASSERT_FALSE(f.trace.closureFresh());
-            double fallback =
-                agg.value(f.s1, f.power, slice, s, t);
-            EXPECT_EQ(cached, fallback)
-                << "spatial " << int(s) << " temporal " << int(t);
+    // The closure fold against the test's subtree + findVariable
+    // fold. Bitwise equality is the contract: both run the same chunk
+    // decomposition over the same variable list.
+    for (vt::ContainerId node : {f.trace.root(), f.s1, f.h2}) {
+        for (va::SpatialOp s : sops) {
+            for (va::TemporalOp t : tops) {
+                EXPECT_EQ(agg.value(node, f.power, slice, s, t),
+                          oracle::oracleValue(f.trace, node, f.power,
+                                              slice, s, t))
+                    << "node " << node << " spatial " << int(s)
+                    << " temporal " << int(t);
+            }
         }
     }
 }
@@ -370,14 +380,79 @@ TEST(ClosureCache, DistributionAgreesCachedAndStale)
     va::Aggregator agg(f.trace);
     va::TimeSlice slice{0.0, 10.0};
 
-    f.trace.ensureQueryAcceleration();
-    viva::support::Samples cached =
-        agg.distribution(f.trace.root(), f.power, slice);
-    f.trace.variable(f.h3, f.power);  // stale
-    viva::support::Samples stale =
-        agg.distribution(f.trace.root(), f.power, slice);
-    ASSERT_EQ(cached.count(), stale.count());
-    ASSERT_EQ(cached.count(), 4u);
-    for (std::size_t i = 0; i < cached.count(); ++i)
-        EXPECT_EQ(cached.data()[i], stale.data()[i]);
+    // Same sample sequence as the reference, before and after a
+    // mutation that stales the closure and a re-finalize.
+    for (int round = 0; round < 2; ++round) {
+        viva::support::Samples cached =
+            agg.distribution(f.trace.root(), f.power, slice);
+        std::vector<double> expect = oracle::oracleDistribution(
+            f.trace, f.trace.root(), f.power, slice);
+        ASSERT_EQ(cached.count(), expect.size());
+        ASSERT_EQ(cached.count(), 4u);
+        for (std::size_t i = 0; i < cached.count(); ++i)
+            EXPECT_EQ(cached.data()[i], expect[i]);
+        f.trace.variable(f.h3, f.power).set(5.0, 1.0);  // stale
+        f.trace.ensureClosure();
+    }
+}
+
+TEST(ClosureCache, ChunkedFoldMatchesTheReferenceOnWideGroups)
+{
+    // 300 carriers: five 64-carrier chunks. Values spanning twelve
+    // orders of magnitude make a sum depend on its association, so a
+    // fold that dropped the chunk order would show in the last bits.
+    vt::TraceBuilder b;
+    vt::MetricId used = b.powerUsedMetric();
+    b.beginGroup("wide", vt::ContainerKind::Site);
+    vt::ContainerId wide = b.currentGroup();
+    viva::support::Rng rng(77);
+    for (int i = 0; i < 300; ++i) {
+        vt::ContainerId h = b.host("h" + std::to_string(i));
+        vt::Variable &v = b.trace().variable(h, used);
+        v.set(0.0, rng.uniform(0.0, 1.0) *
+                       std::pow(10.0, rng.uniform(-6.0, 6.0)));
+        v.set(rng.uniform(1.0, 9.0), rng.uniform(0.0, 1e3));
+    }
+    b.endGroup();
+    vt::Trace trace = b.take();
+    va::Aggregator agg(trace);
+    va::TimeSlice slice{0.5, 7.5};
+    for (va::SpatialOp s : {va::SpatialOp::Sum, va::SpatialOp::Average,
+                            va::SpatialOp::Max, va::SpatialOp::Min})
+        for (vt::ContainerId node : {trace.root(), wide})
+            EXPECT_EQ(agg.value(node, used, slice, s),
+                      oracle::oracleValue(trace, node, used, slice, s))
+                << "spatial " << int(s);
+}
+
+TEST(ClosureCache, AggregatingAStaleTracePanics)
+{
+    ClosureFixture f;
+    va::Aggregator agg(f.trace);
+    va::TimeSlice slice{0.0, 10.0};
+    f.trace.variable(f.h2, f.power).set(20.0, 1.0);
+    ASSERT_FALSE(f.trace.closureFresh());
+    EXPECT_DEATH(agg.value(f.trace.root(), f.power, slice),
+                 "closure cache is stale");
+    EXPECT_DEATH(agg.distribution(f.s1, f.power, slice),
+                 "closure cache is stale");
+}
+
+TEST(ClosureCache, CopyOfAFinalizedTraceAggregates)
+{
+    ClosureFixture f;
+    va::TimeSlice slice{0.0, 10.0};
+    vt::Trace copy(f.trace);
+    ASSERT_TRUE(copy.closureFresh());
+    vt::Trace assigned;
+    assigned = f.trace;
+    ASSERT_TRUE(assigned.closureFresh());
+    for (const vt::Trace *t : {&copy, &assigned}) {
+        // The copy's carriers point into its own variables.
+        EXPECT_EQ(t->carriers(f.s1, f.power)[0],
+                  t->findVariable(f.h1, f.power));
+        EXPECT_EQ(va::Aggregator(*t).value(t->root(), f.power, slice),
+                  va::Aggregator(f.trace).value(f.trace.root(), f.power,
+                                                slice));
+    }
 }

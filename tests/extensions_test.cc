@@ -316,6 +316,7 @@ TEST(Composition, StatePiesOverrideComposition)
     CompositionFixture f;
     f.trace.addState(f.h1, 0.0, 1.0, "busy");
     f.trace.addState(f.h1, 1.0, 4.0, "idle");
+    f.trace.ensureClosure();
 
     vv::VisualMapping mapping = vv::VisualMapping::defaults(f.trace);
     va::HierarchyCut cut(f.trace);
@@ -581,6 +582,7 @@ TEST(Treemap, GridScaleIsFast)
     vp::Platform p = vp::makeGrid5000();
     vt::Trace t;
     vp::mirrorPlatform(p, t);
+    t.ensureClosure();
     vv::Treemap map = vv::buildTreemap(t, t.findMetric("power"),
                                        {0.0, 1.0},
                                        vv::TreemapOptions());
@@ -720,6 +722,7 @@ TEST(ProcessContainers, DtRanksNestUnderHosts)
 
     // Host-level aggregation still sees the host's power (the host is
     // no longer a leaf, but subtree aggregation keeps its variable).
+    run.trace.ensureClosure();
     viva::agg::Aggregator agg(run.trace);
     double host_power = agg.value(run.mirror.hostContainer[dep[0].index()],
                                   run.mirror.power, {0.0, 1.0});

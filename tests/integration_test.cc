@@ -209,6 +209,7 @@ class MasterWorkerCase : public ::testing::Test
 
         EXPECT_TRUE(app1.finished());
         EXPECT_TRUE(app2.finished());
+        sim.trace.ensureClosure();
         return {std::move(sim.trace), app1.result().tasksPerWorker,
                 app2.result().tasksPerWorker, p1.workers};
     }

@@ -77,6 +77,7 @@ TEST_P(EngineConservation, TracedWorkEqualsInjectedWork)
     Workload injected = inject(run, rng);
     run.engine.run();
     ASSERT_TRUE(run.engine.idle());
+    run.trace.ensureClosure();
 
     // Integrate the traced utilization over the whole run: it must
     // equal the injected work exactly (the fluid model conserves it).
@@ -123,6 +124,7 @@ TEST_P(EngineConservation, RunInPiecesMatchesRunWhole)
                 run.engine.run(t);
         }
         run.engine.run();
+        run.trace.ensureClosure();
         va::Aggregator agg(run.trace);
         return agg.value(run.trace.root(), run.mirror.powerUsed,
                          run.trace.span(), va::SpatialOp::Sum,
@@ -183,6 +185,7 @@ TEST_P(CutPartition, ConservationUnderRandomCuts)
     vp::Platform plat = vp::makeSyntheticGrid(2, 2, 4, rng);
     vt::Trace trace;
     auto mirror = vp::mirrorPlatform(plat, trace);
+    trace.ensureClosure();
 
     va::HierarchyCut cut(trace);
     for (int op = 0; op < 20; ++op)
@@ -238,6 +241,7 @@ TEST_P(TreemapGeometry, CellsStayInCanvasAndNest)
         1 + rng.index(3), 1 + rng.index(3), 1 + rng.index(6), rng);
     vt::Trace trace;
     vp::mirrorPlatform(plat, trace);
+    trace.ensureClosure();
 
     vv::TreemapOptions options;
     options.width = 640;

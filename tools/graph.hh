@@ -33,7 +33,7 @@
  *    shim (src/support/clock.cc) may transitively reach a raw
  *    std::chrono clock read;
  *  - io-in-hot-path: symbols reachable from a ThreadPool
- *    parallelFor/reduceOrdered chunk lambda must not reach stream I/O
+ *    parallelFor chunk lambda must not reach stream I/O
  *    or warnLimited() (the crash path through fatal/panic is exempt:
  *    a process that is already dying may write to stderr);
  *  - dead-symbol: functions defined under src/ that are unreachable

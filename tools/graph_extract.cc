@@ -292,7 +292,7 @@ parseWaivers(const std::vector<Token> &tokens, FileFacts &facts)
 /**
  * The edge scanner: record every call, member call and bare name
  * reference in code[lo, hi) onto `sym`, flag edges inside a
- * parallelFor/reduceOrdered chunk lambda as hot, and count call sites
+ * parallelFor chunk lambda as hot, and count call sites
  * whose callee is not a plain name. Used for function bodies and,
  * over the gaps between declarators, for the file-scope symbol.
  */
@@ -385,8 +385,7 @@ scanEdges(const std::vector<Token> &code, std::size_t lo, std::size_t hi,
             record(name, member ? EdgeKind::Method : EdgeKind::Call,
                    inHot, t.line);
             const std::string &terminal = parts.back();
-            if (terminal == "parallelFor" || terminal == "parallel_for" ||
-                terminal == "reduceOrdered") {
+            if (terminal == "parallelFor" || terminal == "parallel_for") {
                 const std::size_t close = matchParen(code, callParen);
                 if (close != kNpos)
                     hot.push_back({close, braceDepth});
