@@ -170,42 +170,73 @@ TEST(AggIndexDifferential, DegenerateAndOutOfRangeSlices)
 
 // --- the prefix integral under mutation --------------------------------------
 
-TEST(AggIndexDifferential, EveryMutationKeepsThePrefixCurrent)
+namespace
+{
+
+/** The prefix integral is consistent and every op agrees with the scan. */
+void expectPrefixCurrent(const vt::Variable &v, const char *what)
+{
+    SCOPED_TRACE(what);
+    EXPECT_TRUE(v.indexConsistent());
+    const double mid = 0.5 * (v.firstTime() + v.lastTime());
+    for (double a : {v.firstTime() - 1.0, v.firstTime(), mid})
+        for (double b : {mid, v.lastTime(), v.lastTime() + 10.0})
+            if (a <= b)
+                expectAllOpsAgree(v, a, b);
+}
+
+} // namespace
+
+// Every set() keeps the prefix integral current: there is no index to
+// invalidate and rebuild any more, so queries after a write agree with
+// the scan straight away.
+TEST(AggIndexDifferential, SetInvalidatesTheIndex)
 {
     vt::Variable v = randomVariable(50, 7);
-    const double mid = 0.5 * (v.firstTime() + v.lastTime());
-    auto check = [&](const char *what) {
-        SCOPED_TRACE(what);
-        EXPECT_TRUE(v.indexConsistent());
-        for (double a : {v.firstTime() - 1.0, v.firstTime(), mid})
-            for (double b : {mid, v.lastTime(), v.lastTime() + 10.0})
-                if (a <= b)
-                    expectAllOpsAgree(v, a, b);
-    };
-    check("built by appends");
+    expectPrefixCurrent(v, "built by appends");
 
     v.set(v.lastTime() + 2.0, 5.0);
-    check("append");
+    expectPrefixCurrent(v, "append");
 
     v.set(v.lastTime(), -7.0);
-    check("replace the last value");
+    expectPrefixCurrent(v, "replace the last value");
 
     v.set(v.firstTime() - 3.0, 11.0);
-    check("out-of-order insert at the front");
+    expectPrefixCurrent(v, "out-of-order insert at the front");
 
     const auto &pts = v.changePoints();
     v.set(0.5 * (pts[20].time + pts[21].time), 13.0);
-    check("out-of-order insert in the middle");
+    expectPrefixCurrent(v, "out-of-order insert in the middle");
 
     v.set(pts[30].time, 17.0);
-    check("in-place change in the middle");
+    expectPrefixCurrent(v, "in-place change in the middle");
 
-    v.add(mid, 4.0);
-    check("add");
+    v.set(1e6, 3.0);
+    expectPrefixCurrent(v, "append far past the end");
+    expectAllOpsAgree(v, 0.0, 2e6);
+}
 
-    v.set(v.lastTime() + 1.0, v.changePoints().back().value);
+// add() and compact() keep the prefix integral current too.
+TEST(AggIndexDifferential, AddAndCompactInvalidate)
+{
+    vt::Variable v;
+    v.set(0.0, 5.0);
+    v.set(1.0, 5.0);  // redundant: compact() removes it
+    expectPrefixCurrent(v, "built by sets");
+
+    v.add(2.0, 1.0);
+    expectPrefixCurrent(v, "add past the end");
+
     EXPECT_EQ(v.compact(), 1u);
-    check("compact");
+    expectPrefixCurrent(v, "compact");
+
+    vt::Variable r = randomVariable(50, 7);
+    r.add(0.5 * (r.firstTime() + r.lastTime()), 4.0);
+    expectPrefixCurrent(r, "add in the middle");
+
+    r.set(r.lastTime() + 1.0, r.changePoints().back().value);
+    EXPECT_EQ(r.compact(), 1u);
+    expectPrefixCurrent(r, "compact a random variable");
 }
 
 // --- the hierarchy-closure cache ------------------------------------------
