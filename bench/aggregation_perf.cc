@@ -97,14 +97,16 @@ BM_BuildViewAtDepth(benchmark::State &state)
     state.counters["nodes"] = double(nodes);
 }
 
+/** One cut change: the visible nodes and edges projected afresh. */
 void
-BM_VisibleEdges(benchmark::State &state)
+BM_CutRecompute(benchmark::State &state)
 {
     const vt::Trace &trace = gridTrace();
     va::HierarchyCut cut(trace);
-    cut.aggregateToDepth(std::uint16_t(state.range(0)));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(va::visibleEdges(trace, cut));
+    for (auto _ : state) {
+        cut.aggregateToDepth(std::uint16_t(state.range(0)));
+        benchmark::DoNotOptimize(cut.visibleEdges().data());
+    }
 }
 
 /**
@@ -196,7 +198,7 @@ BENCHMARK(BM_BuildViewAtDepth)
     ->Arg(3)
     ->Arg(-1)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_VisibleEdges)
+BENCHMARK(BM_CutRecompute)
     ->Arg(1)
     ->Arg(2)
     ->Arg(3)

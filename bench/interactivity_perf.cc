@@ -19,24 +19,29 @@
 namespace
 {
 
-/** The shared session over the mirrored Grid'5000 topology. */
+/** The mirrored Grid'5000 topology with synthetic utilization. */
+viva::trace::Trace
+gridTrace()
+{
+    viva::platform::Platform p = viva::platform::makeGrid5000();
+    viva::trace::Trace t;
+    auto mirror = viva::platform::mirrorPlatform(p, t);
+    // Synthetic utilization so fills and pies have data.
+    viva::support::Rng rng(3);
+    for (viva::platform::HostId h{0}; h.index() < p.hostCount(); ++h) {
+        t.variable(mirror.hostContainer[h.index()], mirror.powerUsed)
+            .set(0.0, rng.uniform(0.0, p.host(h).powerMflops));
+    }
+    return t;
+}
+
+/** The shared session over gridTrace(), settled once. */
 viva::app::Session &
 gridSession()
 {
-    static viva::app::Session session = [] {
-        viva::platform::Platform p = viva::platform::makeGrid5000();
-        viva::trace::Trace t;
-        auto mirror = viva::platform::mirrorPlatform(p, t);
-        // Synthetic utilization so fills and pies have data.
-        viva::support::Rng rng(3);
-        for (viva::platform::HostId h{0}; h.index() < p.hostCount(); ++h) {
-            t.variable(mirror.hostContainer[h.index()], mirror.powerUsed)
-                .set(0.0, rng.uniform(0.0, p.host(h).powerMflops));
-        }
-        viva::app::Session s(std::move(t));
-        s.stabilizeLayout(100).value();
-        return s;
-    }();
+    static viva::app::Session session(gridTrace());
+    static const std::size_t settled = session.stabilizeLayout(100).value();
+    (void)settled;
     return session;
 }
 

@@ -56,7 +56,7 @@ BM_LayoutStepNaive(benchmark::State &state)
     ForceLayout layout(g);
     layout.params().useBarnesHut = false;
     for (auto _ : state)
-        benchmark::DoNotOptimize(layout.step());
+        benchmark::DoNotOptimize(layout.step().value());
     state.SetComplexityN(state.range(0));
 }
 
@@ -68,7 +68,7 @@ BM_LayoutStepBarnesHut(benchmark::State &state)
     layout.params().useBarnesHut = true;
     layout.params().theta = 0.8;
     for (auto _ : state)
-        benchmark::DoNotOptimize(layout.step());
+        benchmark::DoNotOptimize(layout.step().value());
     state.SetComplexityN(state.range(0));
 }
 
@@ -101,7 +101,7 @@ BM_LayoutStepParallel(benchmark::State &state)
     layout.params().theta = 0.8;
     layout.params().threads = std::size_t(state.range(0));
     for (auto _ : state)
-        benchmark::DoNotOptimize(layout.step());
+        benchmark::DoNotOptimize(layout.step().value());
     state.counters["threads"] = double(state.range(0));
 }
 
@@ -115,7 +115,7 @@ BM_LayoutStepNaiveParallel(benchmark::State &state)
     layout.params().useBarnesHut = false;
     layout.params().threads = std::size_t(state.range(0));
     for (auto _ : state)
-        benchmark::DoNotOptimize(layout.step());
+        benchmark::DoNotOptimize(layout.step().value());
     state.counters["threads"] = double(state.range(0));
 }
 

@@ -199,7 +199,7 @@ main(int argc, char **argv)
 
     // --- slice-query microbench ----------------------------------------
     // Drives the temporal reductions (prefix-integral averages and
-    // max/min scans) over a deterministic slice sweep so the perf gate
+    // integrals) over a deterministic slice sweep so the perf gate
     // pins their cost. The histogram is bench-local (registered here,
     // not in src/), so it is exempt from the obs-phase manifest.
     {
@@ -219,8 +219,7 @@ main(int argc, char **argv)
             for (std::size_t s = 0; s < 64; ++s) {
                 double a = double(s) * 10.0 / 64.0;
                 double b2 = a + 10.0 / 64.0;
-                acc += v->average(a, b2) + v->integrate(a, b2) +
-                       v->maxOver(a, b2) + v->minOver(a, b2);
+                acc += v->average(a, b2) + v->integrate(a, b2);
             }
         }
         std::printf("obs_export: slice sweep checksum %.3f\n", acc);

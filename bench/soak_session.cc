@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,10 +70,11 @@ constexpr std::size_t kWriteChunkBytes = 64;
  * Generation g of the soak state: a pure function of g, so the parent
  * and the exec'd worker compute bitwise-identical sessions.
  */
-vap::Session
+std::unique_ptr<vap::Session>
 buildGeneration(std::size_t g)
 {
-    vap::Session s(vt::makeFigure1Trace());
+    auto session = std::make_unique<vap::Session>(vt::makeFigure1Trace());
+    vap::Session &s = *session;
     s.setThreads(1 + g % 3);
     s.setSliceOf(viva::agg::SliceIndex{std::uint32_t(g % 4)}, 4);
     s.forceParams().charge *= 1.0 + 0.05 * double(g % 5);
@@ -81,16 +83,16 @@ buildGeneration(std::size_t g)
         std::abort();
     if (!s.pinNode("HostB", g % 2 == 0))
         std::abort();
-    return s;
+    return session;
 }
 
 /** Worker: rebuild generation g, then write checkpoints until killed. */
 int
 runWorker(const std::string &path, std::size_t generation, bool loop)
 {
-    vap::Session s = buildGeneration(generation);
+    std::unique_ptr<vap::Session> s = buildGeneration(generation);
     do {
-        vs::Expected<void> written = s.checkpoint(path);
+        vs::Expected<void> written = s->checkpoint(path);
         if (!written) {
             std::fprintf(stderr, "worker: checkpoint failed: %s\n",
                          written.error().toString().c_str());
@@ -164,7 +166,7 @@ runKillRestartPhase(const Options &opt)
     // The digest table: what a restore is allowed to recover to.
     std::uint64_t digest[kGenerations];
     for (std::size_t g = 0; g < kGenerations; ++g) {
-        digest[g] = buildGeneration(g).stateDigest();
+        digest[g] = buildGeneration(g)->stateDigest();
         for (std::size_t h = 0; h < g; ++h)
             if (digest[h] == digest[g])
                 return fail("setup", g, "generations not distinct");
@@ -173,7 +175,7 @@ runKillRestartPhase(const Options &opt)
     // Seed the initial durable state so every cycle has a file.
     {
         vs::Expected<void> seeded =
-            buildGeneration(0).checkpoint(path);
+            buildGeneration(0)->checkpoint(path);
         if (!seeded)
             return fail("setup", 0, seeded.error().toString());
     }
@@ -257,7 +259,8 @@ runFaultStormPhase(const Options &opt)
         if (!wrote)
             return fail("storm-setup", 0, wrote.error().toString());
     }
-    vap::Session s = buildGeneration(1);
+    std::unique_ptr<vap::Session> session = buildGeneration(1);
+    vap::Session &s = *session;
     s.retryPolicy().maxAttempts = 2;
     {
         vs::Expected<void> seeded = s.checkpoint(ckpt_path);

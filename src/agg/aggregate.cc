@@ -9,7 +9,6 @@
 #include <atomic>
 #include <ostream>
 #include <span>
-#include <unordered_map>
 
 #include "support/governor.hh"
 #include "support/logging.hh"
@@ -44,10 +43,6 @@ reduce(const trace::Variable &var, const TimeSlice &slice, TemporalOp top)
     switch (top) {
       case TemporalOp::Average:
         return var.average(slice);
-      case TemporalOp::Max:
-        return var.maxOver(slice.begin, slice.end);
-      case TemporalOp::Min:
-        return var.minOver(slice.begin, slice.end);
       case TemporalOp::Integral:
         return var.integrate(slice);
     }
@@ -99,31 +94,14 @@ combinePartials(Partial a, Partial b, SpatialOp op)
     return a;
 }
 
-} // namespace
-
-Aggregator::Aggregator(const trace::Trace &trace)
-    : tr(&trace),
-      valuesCounter(obs::Registry::global().counter("agg.values"))
-{
-}
-
+/**
+ * Equation 1 over a subtree's carriers: temporal reductions folded in
+ * kLeafChunk chunks, the partials combined in chunk order.
+ */
 double
-Aggregator::value(ContainerId node, MetricId m, const TimeSlice &slice,
-                  SpatialOp op, TemporalOp top) const
+foldCarriers(std::span<const trace::Variable *const> carried,
+             const TimeSlice &slice, SpatialOp op, TemporalOp top)
 {
-    // Counted but deliberately not timed: one Eq.-1 fold can be a few
-    // hundred nanoseconds and runs inside parallel workers, so a timer
-    // here would dominate the quantity being measured. buildView()
-    // times the enclosing pass instead.
-    obs::Registry &reg = obs::Registry::global();
-    if (reg.enabled())
-        reg.add(valuesCounter);
-
-    // Every container in the subtree that carries the variable
-    // contributes -- not just leaves, since traces may attach
-    // measurements at any level (hosts with process children, say).
-    std::span<const trace::Variable *const> carried =
-        tr->carriers(node, m);
     Partial total;
     for (std::size_t lo = 0; lo < carried.size(); lo += kLeafChunk) {
         const std::size_t hi = std::min(carried.size(), lo + kLeafChunk);
@@ -139,6 +117,32 @@ Aggregator::value(ContainerId node, MetricId m, const TimeSlice &slice,
     return total.acc;
 }
 
+} // namespace
+
+Aggregator::Aggregator(const trace::Trace &trace)
+    : tr(&trace),
+      valuesCounter(obs::Registry::global().counter("agg.values"))
+{
+}
+
+double
+Aggregator::value(ContainerId node, MetricId m, const TimeSlice &slice,
+                  SpatialOp op, TemporalOp top) const
+{
+    // Counted but deliberately not timed: one Eq.-1 fold can be a few
+    // hundred nanoseconds, so a timer here would dominate the quantity
+    // being measured. buildView() counts its values in bulk and times
+    // the enclosing pass instead.
+    obs::Registry &reg = obs::Registry::global();
+    if (reg.enabled())
+        reg.add(valuesCounter);
+
+    // Every container in the subtree that carries the variable
+    // contributes -- not just leaves, since traces may attach
+    // measurements at any level (hosts with process children, say).
+    return foldCarriers(tr->carriers(node, m), slice, op, top);
+}
+
 support::Samples
 Aggregator::distribution(ContainerId node, MetricId m,
                          const TimeSlice &slice, TemporalOp top) const
@@ -149,28 +153,11 @@ Aggregator::distribution(ContainerId node, MetricId m,
     return samples;
 }
 
-std::vector<ViewEdge>
+const std::vector<ViewEdge> &
 visibleEdges(const trace::Trace &trace, const HierarchyCut &cut)
 {
-    std::vector<ViewEdge> edges;
-    std::unordered_map<std::uint64_t, std::size_t> index;
-    for (const trace::Trace::Relation &r : trace.relations()) {
-        ContainerId a = cut.representative(r.a);
-        ContainerId b = cut.representative(r.b);
-        if (a == b)
-            continue;  // contracted inside one aggregated node
-        ContainerId lo = std::min(a, b);
-        ContainerId hi = std::max(a, b);
-        std::uint64_t key = (std::uint64_t(lo.value()) << 32) | hi.value();
-        auto it = index.find(key);
-        if (it == index.end()) {
-            index.emplace(key, edges.size());
-            edges.push_back({lo, hi, 1});
-        } else {
-            ++edges[it->second].multiplicity;
-        }
-    }
-    return edges;
+    VIVA_ASSERT(&trace == &cut.trace(), "cut belongs to another trace");
+    return cut.visibleEdges();
 }
 
 std::size_t
@@ -194,26 +181,17 @@ View::valueOf(ContainerId id, MetricId m) const
     return 0.0;
 }
 
-namespace
-{
-
-/**
- * The shared view build. With `abort` null this is the historical
- * ungoverned pass (zero polls). With `abort` set, every worker checks
- * the governor deadline once per visible node -- the per-ThreadPool-
- * chunk cancellation checkpoint -- latches the flag and skips the
- * rest of its range; the caller discards the partial view.
- */
-View
-buildViewImpl(const trace::Trace &trace, const HierarchyCut &cut,
-              const TimeSlice &slice,
-              const std::vector<MetricRequest> &requests,
-              bool with_stats, std::size_t threads,
-              std::atomic<bool> *abort)
+support::Expected<View>
+buildView(const trace::Trace &trace, const HierarchyCut &cut,
+          const TimeSlice &slice,
+          const std::vector<MetricRequest> &requests, bool with_stats,
+          std::size_t threads, Deadline deadline)
 {
     obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId phase = reg.histogram("agg.build_view");
+    static const obs::CounterId values = reg.counter("agg.values");
     obs::ScopedPhase timer(phase);
+    support::ResourceGovernor &governor = support::ResourceGovernor::global();
 
     View view;
     view.slice = slice;
@@ -224,28 +202,28 @@ buildViewImpl(const trace::Trace &trace, const HierarchyCut &cut,
 
     // One slot per visible node, filled by exactly one worker: the
     // parallel build writes the same bits the serial one would, in the
-    // same node order, for every thread count. The Aggregator is
-    // serial, so this is the only parallel level.
-    std::vector<ContainerId> visible = cut.visibleNodes();
+    // same node order, for every thread count. The fold is serial, so
+    // this is the only parallel level. A polling worker latches an
+    // expired deadline and skips the rest of its range.
+    std::span<const ContainerId> visible = cut.visibleNodes();
     view.nodes.resize(visible.size());
     Aggregator agg(trace);
+    std::atomic<bool> aborted{false};
     support::ThreadPool::global().parallelFor(
         0, visible.size(), 1, threads,
         [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
-                if (abort &&
-                    (abort->load(std::memory_order_relaxed) ||
-                     support::ResourceGovernor::global()
-                         .deadlineExpired())) {
-                    abort->store(true, std::memory_order_relaxed);
+                if (deadline == Deadline::Poll &&
+                    (aborted.load(std::memory_order_relaxed) ||
+                     governor.deadlineExpired())) {
+                    aborted.store(true, std::memory_order_relaxed);
                     return;
                 }
                 ContainerId id = visible[i];
                 ViewNode &node = view.nodes[i];
                 node.id = id;
                 node.aggregated = !trace.container(id).leaf();
-                node.leafCount =
-                    node.aggregated ? trace.leavesUnder(id).size() : 1;
+                node.leafCount = trace.cachedLeafCount(id);
                 node.values.reserve(requests.size());
                 for (const MetricRequest &r : requests) {
                     if (with_stats) {
@@ -263,27 +241,27 @@ buildViewImpl(const trace::Trace &trace, const HierarchyCut &cut,
                                               s.min(), s.max()});
                     } else {
                         node.values.push_back(
-                            agg.value(id, r.metric, slice, r.spatial,
-                                      r.temporal));
+                            foldCarriers(trace.carriers(id, r.metric),
+                                         slice, r.spatial, r.temporal));
                     }
                 }
             }
         });
 
-    view.edges = visibleEdges(trace, cut);
+    // A deadline that trips after the last node still aborts: a
+    // polling caller wants the budget honoured, not a lucky result.
+    if (deadline == Deadline::Poll &&
+        (aborted.load(std::memory_order_relaxed) ||
+         governor.deadlineExpired())) {
+        governor.noteDeadlineAbort();
+        return VIVA_ERROR(support::Errc::Deadline, "aggregation over ",
+                          visible.size(),
+                          " visible nodes ran past its deadline");
+    }
+    if (!with_stats && reg.enabled())
+        reg.add(values, visible.size() * requests.size());
+    view.edges = cut.visibleEdges();
     return view;
-}
-
-} // namespace
-
-View
-buildView(const trace::Trace &trace, const HierarchyCut &cut,
-          const TimeSlice &slice,
-          const std::vector<MetricRequest> &requests, bool with_stats,
-          std::size_t threads)
-{
-    return buildViewImpl(trace, cut, slice, requests, with_stats,
-                         threads, nullptr);
 }
 
 View
@@ -292,51 +270,19 @@ buildView(const trace::Trace &trace, const HierarchyCut &cut,
           const std::vector<trace::MetricId> &metrics, SpatialOp op,
           bool with_stats, std::size_t threads)
 {
-    std::vector<MetricRequest> requests;
-    requests.reserve(metrics.size());
-    for (trace::MetricId m : metrics)
-        requests.emplace_back(m, op);
-    return buildView(trace, cut, slice, requests, with_stats, threads);
+    return buildView(trace, cut, slice, requestsFor(metrics, op),
+                     with_stats, threads)
+        .value();
 }
 
-support::Expected<View>
-buildViewGoverned(const trace::Trace &trace, const HierarchyCut &cut,
-                  const TimeSlice &slice,
-                  const std::vector<MetricRequest> &requests,
-                  bool with_stats, std::size_t threads)
-{
-    std::atomic<bool> aborted{false};
-    View view = buildViewImpl(trace, cut, slice, requests, with_stats,
-                              threads, &aborted);
-    // A deadline that trips after the last node but before the edge
-    // projection still aborts: a governed caller wants the budget
-    // honoured, not a lucky partial result.
-    if (aborted.load(std::memory_order_relaxed) ||
-        support::ResourceGovernor::global().deadlineExpired()) {
-        support::ResourceGovernor::global().noteDeadlineAbort();
-        return VIVA_ERROR(support::Errc::Deadline,
-                          "aggregation over ", cut.visibleCount(),
-                          " visible nodes ran past its deadline");
-    }
-    return view;
-}
-
-support::Expected<View>
-buildViewGoverned(const trace::Trace &trace, const HierarchyCut &cut,
-                  const TimeSlice &slice,
-                  const std::vector<trace::MetricId> &metrics,
-                  SpatialOp op, bool with_stats, std::size_t threads)
+std::vector<MetricRequest>
+requestsFor(const std::vector<trace::MetricId> &metrics, SpatialOp op)
 {
     std::vector<MetricRequest> requests;
     requests.reserve(metrics.size());
     for (trace::MetricId m : metrics)
         requests.emplace_back(m, op);
-    support::Expected<View> view = buildViewGoverned(
-        trace, cut, slice, requests, with_stats, threads);
-    if (!view)
-        return VIVA_ERROR_CONTEXT(view.error(),
-                                  "buildViewGoverned defaults overload");
-    return view;
+    return requests;
 }
 
 void
@@ -399,7 +345,7 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
             auditFail(log, "metric column ", k,
                       " disagrees with its request");
 
-    std::vector<ContainerId> visible = cut.visibleNodes();
+    std::span<const ContainerId> visible = cut.visibleNodes();
     if (view.nodes.size() != visible.size()) {
         auditFail(log, "view holds ", view.nodes.size(),
                   " nodes for ", visible.size(), " visible containers");
@@ -418,8 +364,12 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
         if (node.aggregated != aggregated)
             auditFail(log, "node ", i, " ('", trace.fullName(node.id),
                       "') has a wrong aggregated flag");
-        std::size_t leaves =
-            aggregated ? trace.leavesUnder(node.id).size() : 1;
+        std::vector<ContainerId> members = trace.subtree(node.id);
+        std::size_t leaves = std::size_t(
+            std::count_if(members.begin(), members.end(),
+                          [&](ContainerId c) {
+                              return trace.container(c).leaf();
+                          }));
         if (node.leafCount != leaves)
             auditFail(log, "node ", i, " covers ", node.leafCount,
                       " leaves instead of ", leaves);
@@ -451,25 +401,15 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
         }
     }
 
-    // Edges: an independent re-projection must agree exactly.
-    std::vector<ViewEdge> expect_edges = visibleEdges(trace, cut);
-    if (view.edges.size() != expect_edges.size()) {
-        auditFail(log, "view holds ", view.edges.size(), " edges, "
-                  "re-projection yields ", expect_edges.size());
-        return log;
-    }
-    for (std::size_t i = 0; i < view.edges.size(); ++i) {
-        const ViewEdge &e = view.edges[i];
-        const ViewEdge &x = expect_edges[i];
-        if (e.a != x.a || e.b != x.b || e.multiplicity != x.multiplicity)
-            auditFail(log, "edge ", i, " (", e.a, "--", e.b, " x",
-                      e.multiplicity, ") != re-projection (", x.a, "--",
-                      x.b, " x", x.multiplicity, ")");
+    // Edges: exactly the cut's projection (whose own audit checks it
+    // against the flags), between nodes of the view.
+    if (view.edges != cut.visibleEdges())
+        auditFail(log, "view edges differ from the cut's projection");
+    for (const ViewEdge &e : view.edges)
         if (view.indexOf(e.a) == View::npos ||
             view.indexOf(e.b) == View::npos)
-            auditFail(log, "edge ", i,
+            auditFail(log, "edge ", e.a, "--", e.b,
                       " touches a container outside the view");
-    }
     return log;
 }
 

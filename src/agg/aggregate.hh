@@ -18,7 +18,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <unordered_map>
 #include <vector>
 
 #include "agg/hierarchy_cut.hh"
@@ -36,11 +35,10 @@ enum class SpatialOp { Sum, Average, Max, Min };
 
 /**
  * How a leaf's variable reduces over the time slice before the spatial
- * combination: the time-average of Equation 1, the peak (for "was it
- * ever saturated?" questions), the minimum, or the raw integral
+ * combination: the time-average of Equation 1, or the raw integral
  * (work done, in metric-unit-seconds).
  */
-enum class TemporalOp { Average, Max, Min, Integral };
+enum class TemporalOp { Average, Integral };
 
 /**
  * One metric requested from a view, with its reduction operators.
@@ -113,22 +111,9 @@ class Aggregator
     support::obs::CounterId valuesCounter;
 };
 
-/** An edge between two visible nodes of an aggregated view. */
-struct ViewEdge
-{
-    trace::ContainerId a;
-    trace::ContainerId b;
-    /** Number of underlying relations contracted into this edge. */
-    std::size_t multiplicity = 1;
-};
-
-/**
- * Project the trace's relations onto a cut: each underlying relation is
- * rewired to the representatives of its endpoints; edges inside one
- * aggregated node disappear; parallel edges merge with a multiplicity.
- */
-std::vector<ViewEdge> visibleEdges(const trace::Trace &trace,
-                                   const HierarchyCut &cut);
+/** The cut's projected edges (HierarchyCut::visibleEdges). */
+const std::vector<ViewEdge> &visibleEdges(const trace::Trace &trace,
+                                          const HierarchyCut &cut);
 
 /** Per-metric statistical indicators of an aggregated value. */
 struct ValueStats
@@ -174,12 +159,20 @@ struct View
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
 
+/** Whether a view build polls the governor's operation deadline. */
+enum class Deadline { Ignore, Poll };
+
 /**
- * Build the aggregated view for a cut and a time slice.
+ * Build the aggregated view for a cut and a time slice: Equation 1 for
+ * every visible node, with the cut's projected edges.
  *
  * Visible nodes are aggregated in parallel when `threads > 1` (each
  * worker fills its own node slots, so the view is bitwise identical to
  * the serial build for every thread count).
+ *
+ * With Deadline::Poll each worker polls the governor deadline once per
+ * node and a late build returns Errc::Deadline; Deadline::Ignore never
+ * polls and cannot fail, so audits stay exact under an armed deadline.
  *
  * @param trace the trace to aggregate
  * @param cut the spatial scale
@@ -187,38 +180,27 @@ struct View
  * @param requests the metrics to aggregate, each with its operators
  * @param with_stats also compute the statistical indicators
  * @param threads worker count; 1 serial, 0 hardware_concurrency
+ * @param deadline whether to poll the operation deadline
  */
-View buildView(const trace::Trace &trace, const HierarchyCut &cut,
-               const TimeSlice &slice,
-               const std::vector<MetricRequest> &requests,
-               bool with_stats = false, std::size_t threads = 1);
+support::Expected<View> buildView(const trace::Trace &trace,
+                                  const HierarchyCut &cut,
+                                  const TimeSlice &slice,
+                                  const std::vector<MetricRequest> &requests,
+                                  bool with_stats = false,
+                                  std::size_t threads = 1,
+                                  Deadline deadline = Deadline::Ignore);
 
-/** Convenience overload: Equation-1 defaults (or `op`) per metric. */
+/** Convenience overload: Equation-1 defaults (or `op`), no deadline. */
 View buildView(const trace::Trace &trace, const HierarchyCut &cut,
                const TimeSlice &slice,
                const std::vector<trace::MetricId> &metrics,
                SpatialOp op = SpatialOp::Sum, bool with_stats = false,
                std::size_t threads = 1);
 
-/**
- * buildView with cooperative cancellation: every worker polls the
- * process-wide governor deadline once per visible node and the build
- * aborts with Errc::Deadline when it has passed, discarding the
- * partial view (the caller's state is untouched -- the view is the
- * staged object). Ungoverned buildView never polls, so audits and
- * read-only recomputation stay exact under an armed deadline.
- */
-support::Expected<View> buildViewGoverned(
-    const trace::Trace &trace, const HierarchyCut &cut,
-    const TimeSlice &slice, const std::vector<MetricRequest> &requests,
-    bool with_stats = false, std::size_t threads = 1);
-
-/** Governed convenience overload mirroring the MetricId buildView. */
-support::Expected<View> buildViewGoverned(
-    const trace::Trace &trace, const HierarchyCut &cut,
-    const TimeSlice &slice, const std::vector<trace::MetricId> &metrics,
-    SpatialOp op = SpatialOp::Sum, bool with_stats = false,
-    std::size_t threads = 1);
+/** One request per metric, all with the same spatial operator. */
+std::vector<MetricRequest>
+requestsFor(const std::vector<trace::MetricId> &metrics,
+            SpatialOp op = SpatialOp::Sum);
 
 /**
  * Write a view as CSV (one row per node, one column per metric, plus
@@ -231,8 +213,8 @@ void writeViewCsv(const View &view, const trace::Trace &trace,
 /**
  * Deep audit of an aggregated view against the trace and cut it was
  * built from: the nodes are exactly the cut's visible nodes in order,
- * every value vector matches the requests, the edges equal an
- * independent re-projection of the relations, and -- the Equation-1
+ * every value vector matches the requests, the edges are the cut's
+ * projected edges, and -- the Equation-1
  * conservation check -- every aggregated value equals a serial
  * recomputation within a 1e-12 relative tolerance.
  * @return the violated invariants; empty when well-formed

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/error.hh"
@@ -21,9 +22,23 @@
 namespace viva::agg
 {
 
+/** An edge between two visible nodes of a cut. */
+struct ViewEdge
+{
+    trace::ContainerId a;
+    trace::ContainerId b;
+    /** Number of underlying relations contracted into this edge. */
+    std::size_t multiplicity = 1;
+
+    bool operator==(const ViewEdge &other) const = default;
+};
+
 /**
- * Tracks which subtrees are collapsed. Starts fully disaggregated
- * (every leaf visible). Cheap to copy; the trace must outlive it.
+ * Tracks which subtrees are collapsed and keeps the projection they
+ * induce (visible nodes and edges), rebuilt once per operation in the
+ * `cut.recompute` phase. Starts fully disaggregated (every leaf
+ * visible). The trace must outlive the cut; reading the projection
+ * after the trace gained containers or relations panics.
  */
 class HierarchyCut
 {
@@ -85,11 +100,21 @@ class HierarchyCut
      */
     trace::ContainerId representative(trace::ContainerId id) const;
 
-    /** All visible nodes, in preorder (stable across equal cuts). */
-    std::vector<trace::ContainerId> visibleNodes() const;
+    /**
+     * All visible nodes, in preorder (stable across equal cuts). The
+     * span is invalidated by the next operation on the cut.
+     */
+    std::span<const trace::ContainerId> visibleNodes() const;
 
     /** Number of visible nodes (what layout scalability depends on). */
-    std::size_t visibleCount() const;
+    std::size_t visibleCount() const { return visibleNodes().size(); }
+
+    /**
+     * The relations rewired to their endpoints' representatives: edges
+     * inside one aggregated node disappear, parallel edges merge with
+     * a multiplicity, in order of the first relation producing each.
+     */
+    const std::vector<ViewEdge> &visibleEdges() const;
 
     /**
      * The raw per-container collapsed flags, one byte per container in
@@ -105,15 +130,16 @@ class HierarchyCut
      * before mutating: the vector must match the container count, hold
      * only 0/1, mark no leaf collapsed, and describe a well-formed cut
      * (antichain covering every leaf once). On error the cut is
-     * unchanged.
+     * unchanged; on success the projection is the staged cut's.
      */
     support::Expected<void>
     setCollapsedFlags(const std::vector<std::uint8_t> &flags);
 
     /**
      * Deep structural audit: the flag vector matches the trace, no leaf
-     * is marked collapsed, and the visible nodes form an antichain that
-     * covers every leaf exactly once (the defining property of a cut).
+     * is marked collapsed, the visible nodes form an antichain that
+     * covers every leaf exactly once (the defining property of a cut),
+     * and the kept projection equals one rebuilt from the flags.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
@@ -126,8 +152,22 @@ class HierarchyCut
     void debugSetCollapsed(trace::ContainerId id, bool value);
 
   private:
+    /** A cut of `trace` with these flags, projected once. */
+    HierarchyCut(const trace::Trace &trace,
+                 std::vector<std::uint8_t> flags);
+
+    /** Rebuild the visible nodes and edges from the flags. */
+    void recompute();
+
+    /** Panic unless the projection covers the trace as it is now. */
+    void requireFresh() const;
+
     const trace::Trace *tr;
     std::vector<std::uint8_t> collapsed;  ///< per container
+    std::vector<trace::ContainerId> visible;  ///< preorder
+    std::vector<ViewEdge> edges;
+    /** Relations the trace had when `edges` was built. */
+    std::size_t projectedRelations = 0;
 };
 
 } // namespace viva::agg

@@ -274,7 +274,7 @@ Session::resetAggregation()
 void
 Session::syncLayout()
 {
-    std::vector<ContainerId> desired = hierCut.visibleNodes();
+    std::span<const ContainerId> desired = hierCut.visibleNodes();
     std::unordered_set<std::uint64_t> desired_set;
     desired_set.reserve(desired.size());
     for (ContainerId id : desired)
@@ -295,7 +295,7 @@ Session::syncLayout()
         // Aggregation: absorb the centroid of current descendants.
         layout::Vec2 centroid;
         std::size_t absorbed = 0;
-        for (ContainerId d : tr.subtree(id)) {
+        for (ContainerId d : tr.cachedSubtree(id)) {
             auto it = current.find(d.value());
             if (it != current.end() && d != id) {
                 centroid += it->second;
@@ -349,20 +349,17 @@ Session::syncLayout()
     graph.removeNodes(to_remove);
 
     // Insert the new nodes.
-    for (const auto &[id, pos] : to_add) {
-        double charge = double(
-            std::max<std::size_t>(tr.leavesUnder(id).size(), 1));
-        graph.addNode(id.value(), pos, charge);
-    }
+    auto charge = [&](ContainerId id) {
+        return double(std::max<std::size_t>(tr.cachedLeafCount(id), 1));
+    };
+    for (const auto &[id, pos] : to_add)
+        graph.addNode(id.value(), pos, charge(id));
 
     // Refresh charges of surviving aggregates (cut may have changed the
     // leaves they cover) and rebuild the visible edges.
-    for (ContainerId id : desired) {
-        layout::NodeId n = graph.findKey(id.value());
-        graph.setCharge(n, double(std::max<std::size_t>(
-                               tr.leavesUnder(id).size(), 1)));
-    }
-    for (const agg::ViewEdge &e : agg::visibleEdges(tr, hierCut)) {
+    for (ContainerId id : desired)
+        graph.setCharge(graph.findKey(id.value()), charge(id));
+    for (const agg::ViewEdge &e : hierCut.visibleEdges()) {
         layout::NodeId a = graph.findKey(e.a.value());
         layout::NodeId b = graph.findKey(e.b.value());
         VIVA_ASSERT(a != layout::kNoNode && b != layout::kNoNode,
@@ -383,28 +380,18 @@ Session::syncLayout()
 support::Expected<std::size_t>
 Session::stabilizeLayout(std::size_t max_iters)
 {
-    if (opDeadlineNanos == 0) {
-        std::size_t done = force.stabilize(max_iters);
-        maybeAudit("Session::stabilizeLayout");
-        return done;
-    }
-    // Whole-operation atomicity: the governed iterations run on a
-    // staged copy of the graph driven by a scratch engine, so a
-    // deadline abort after some committed iterations still leaves the
-    // session's graph bitwise untouched. The swap keeps `force`'s
-    // borrowed reference valid by assigning in place.
+    // Whole-operation atomicity: the iterations run in place, and a
+    // deadline abort puts back every position, velocity and engine
+    // counter they had committed. A zero deadline arms nothing.
     support::OperationScope scope(opDeadlineNanos);
-    layout::LayoutGraph staged = graph;
-    layout::ForceLayout scratch(staged, force.params());
-    support::Expected<std::size_t> done =
-        scratch.stabilizeGoverned(max_iters);
+    const layout::ForceLayout::State entry = force.state();
+    support::Expected<std::size_t> done = force.stabilize(max_iters);
     if (!done) {
+        force.rewind(entry);
         ++deadlineAborts;
         return VIVA_ERROR_CONTEXT(done.error(),
                                   "Session::stabilizeLayout");
     }
-    graph = std::move(staged);
-    force.absorbCounters(scratch);
     maybeAudit("Session::stabilizeLayout");
     return done;
 }
@@ -412,26 +399,18 @@ Session::stabilizeLayout(std::size_t max_iters)
 support::Expected<void>
 Session::stepLayout(std::size_t n)
 {
-    if (opDeadlineNanos == 0) {
-        for (std::size_t i = 0; i < n; ++i)
-            force.step();
-        maybeAudit("Session::stepLayout");
-        return {};
-    }
     support::OperationScope scope(opDeadlineNanos);
-    layout::LayoutGraph staged = graph;
-    layout::ForceLayout scratch(staged, force.params());
+    const layout::ForceLayout::State entry = force.state();
     for (std::size_t i = 0; i < n; ++i) {
-        support::Expected<double> stepped = scratch.stepGoverned();
+        support::Expected<double> stepped = force.step();
         if (!stepped) {
+            force.rewind(entry);
             ++deadlineAborts;
             return VIVA_ERROR_CONTEXT(stepped.error(),
                                       "Session::stepLayout at iteration ",
                                       i, " of ", n);
         }
     }
-    graph = std::move(staged);
-    force.absorbCounters(scratch);
     maybeAudit("Session::stepLayout");
     return {};
 }
@@ -454,7 +433,7 @@ Session::moveNode(const std::string &path, double x, double y)
     if (n == layout::kNoNode)
         return false;
     force.dragNode(n, {x, y});
-    force.stabilize(40);
+    force.stabilize(40).value();
     force.releaseNode(n);
     maybeAudit("Session::moveNode");
     return true;
@@ -475,8 +454,9 @@ agg::View
 Session::view(bool with_stats) const
 {
     return agg::buildView(tr, hierCut, slice,
-                          visMapping.referencedMetrics(),
-                          agg::SpatialOp::Sum, with_stats, nThreads);
+                          agg::requestsFor(visMapping.referencedMetrics()),
+                          with_stats, nThreads)
+        .value();
 }
 
 viz::Scene
@@ -496,24 +476,13 @@ Session::renderSvg(const std::string &path, const std::string &title)
         reg.histogram("session.render");
     obs::ScopedPhase timer(phase);
 
-    viz::SvgOptions options;
-    options.title = title;
-    if (opDeadlineNanos == 0) {
-        support::Expected<void> written =
-            viz::writeSvgFile(scene(), path, options);
-        if (!written)
-            return VIVA_ERROR_CONTEXT(written.error(),
-                                      "Session::renderSvg");
-        return written;
-    }
-
-    // Governed: the aggregation (the dominant cost on large cuts) runs
-    // under the deadline and discards its partial view on abort.
-    // Rendering never mutates session state, so no staging is needed.
+    // The aggregation (the dominant cost on large cuts) runs under the
+    // deadline and discards its partial view on abort. Rendering never
+    // mutates session state, so there is nothing to roll back.
     support::OperationScope scope(opDeadlineNanos);
-    support::Expected<agg::View> v = agg::buildViewGoverned(
-        tr, hierCut, slice, visMapping.referencedMetrics(),
-        agg::SpatialOp::Sum, /*with_stats=*/false, nThreads);
+    support::Expected<agg::View> v = agg::buildView(
+        tr, hierCut, slice, agg::requestsFor(visMapping.referencedMetrics()),
+        /*with_stats=*/false, nThreads, agg::Deadline::Poll);
     if (!v) {
         ++deadlineAborts;
         return VIVA_ERROR_CONTEXT(v.error(), "Session::renderSvg");
@@ -521,6 +490,8 @@ Session::renderSvg(const std::string &path, const std::string &title)
     layout::Snapshot positions = layout::snapshotPositions(graph);
     viz::Scene sc = viz::composeScene(*v, tr, positions, visMapping,
                                       typeScaling, {});
+    viz::SvgOptions options;
+    options.title = title;
     support::Expected<void> written =
         viz::writeSvgFile(sc, path, options);
     if (!written)
@@ -678,7 +649,7 @@ Session::auditInvariants() const
 
     // The layout must mirror the cut: one live node per visible
     // container, nothing else.
-    std::vector<ContainerId> visible = hierCut.visibleNodes();
+    std::span<const ContainerId> visible = hierCut.visibleNodes();
     for (ContainerId id : visible)
         if (graph.findKey(id.value()) == layout::kNoNode)
             support::auditFail(log, "session: visible container ", id,
@@ -732,10 +703,10 @@ Session::animate(std::size_t frames, const std::string &dir,
     // session. Frames already written stay on disk; they are plain
     // output, not session state.
     const agg::TimeSlice entry_slice = slice;
-    const layout::LayoutGraph entry_graph = graph;
+    const layout::ForceLayout::State entry_layout = force.state();
     auto rollback = [&] {
         slice = entry_slice;
-        graph = entry_graph;
+        force.rewind(entry_layout);
         maybeAudit("Session::animate rollback");
     };
     for (std::size_t f = 0; f < frames; ++f) {
@@ -976,7 +947,7 @@ Session::restore(const std::string &path,
 
     // The persisted nodes must be exactly the cut's visible set,
     // strictly sorted, with finite state.
-    std::vector<ContainerId> visible = staged_cut.visibleNodes();
+    std::span<const ContainerId> visible = staged_cut.visibleNodes();
     if (image->nodes.size() != visible.size())
         return fail(VIVA_ERROR(support::Errc::Parse, "checkpoint '",
                                path, "' carries ", image->nodes.size(),

@@ -48,6 +48,16 @@ class Session
     explicit Session(trace::Trace trace);
 
     /**
+     * Not copyable or movable: the cut points at the session's own
+     * trace and the layout engine at its own graph, so a copy would
+     * keep driving the source's.
+     */
+    Session(const Session &) = delete;
+    Session &operator=(const Session &) = delete;
+    Session(Session &&) = delete;
+    Session &operator=(Session &&) = delete;
+
+    /**
      * Replace the trace under analysis with one loaded from a file --
      * the native format, or Paje when the path ends in ".paje".
      *
@@ -144,12 +154,10 @@ class Session
 
     /**
      * Run the force-directed algorithm until it settles (or the
-     * iteration budget runs out). When an operation deadline is set
-     * (setOperationDeadline), the iterations run on a staged copy of
-     * the graph under the governor: a deadline abort returns
-     * Errc::Deadline and leaves every position and velocity bitwise
-     * unchanged; on success the staged graph is swapped in. Without a
-     * deadline this cannot fail.
+     * iteration budget runs out). The iterations run in place under
+     * the operation deadline (setOperationDeadline): a deadline abort
+     * returns Errc::Deadline and restores every position, velocity
+     * and engine counter bitwise. Without a deadline this cannot fail.
      * @return iterations performed
      */
     support::Expected<std::size_t>

@@ -26,25 +26,8 @@ ForceLayout::ForceLayout(LayoutGraph &graph, ForceParams params)
 {
 }
 
-double
+support::Expected<double>
 ForceLayout::step(double timestep_scale)
-{
-    // Ungoverned: stepImpl never polls and cannot fail.
-    return stepImpl(timestep_scale, false).value();
-}
-
-support::Expected<double>
-ForceLayout::stepGoverned(double timestep_scale)
-{
-    support::Expected<double> stepped = stepImpl(timestep_scale, true);
-    if (!stepped)
-        return VIVA_ERROR_CONTEXT(stepped.error(),
-                                  "ForceLayout::stepGoverned");
-    return stepped;
-}
-
-support::Expected<double>
-ForceLayout::stepImpl(double timestep_scale, bool governed)
 {
     obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId step_phase =
@@ -77,11 +60,9 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
 
     // Cooperative cancellation: each chunk polls once on entry and
     // latches the verdict, so an expired deadline costs one clock read
-    // total, not one per chunk. The ungoverned step never polls.
+    // total, not one per chunk.
     std::atomic<bool> aborted{false};
     auto expired = [&]() {
-        if (!governed)
-            return false;
         if (aborted.load(std::memory_order_relaxed))
             return true;
         if (!support::ResourceGovernor::global().deadlineExpired())
@@ -226,35 +207,15 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
     return energy;
 }
 
-std::size_t
+support::Expected<std::size_t>
 ForceLayout::stabilize(std::size_t max_iters, double energy_per_node)
-{
-    // Ungoverned: stabilizeImpl never polls and cannot fail.
-    return stabilizeImpl(max_iters, energy_per_node, false).value();
-}
-
-support::Expected<std::size_t>
-ForceLayout::stabilizeGoverned(std::size_t max_iters,
-                               double energy_per_node)
-{
-    support::Expected<std::size_t> done =
-        stabilizeImpl(max_iters, energy_per_node, true);
-    if (!done)
-        return VIVA_ERROR_CONTEXT(done.error(),
-                                  "ForceLayout::stabilizeGoverned");
-    return done;
-}
-
-support::Expected<std::size_t>
-ForceLayout::stabilizeImpl(std::size_t max_iters,
-                           double energy_per_node, bool governed)
 {
     std::size_t done = 0;
     std::size_t n = std::max<std::size_t>(g.nodeCount(), 1);
     double cooling = 1.0;
     double prev = std::numeric_limits<double>::infinity();
     while (done < max_iters) {
-        support::Expected<double> stepped = stepImpl(cooling, governed);
+        support::Expected<double> stepped = step(cooling);
         if (!stepped) {
             return VIVA_ERROR_CONTEXT(stepped.error(),
                                       "stabilize aborted after ", done,
@@ -271,6 +232,22 @@ ForceLayout::stabilizeImpl(std::size_t max_iters,
         prev = energy;
     }
     return done;
+}
+
+ForceLayout::State
+ForceLayout::state() const
+{
+    return {g.rawNodes(), iters, quarantined};
+}
+
+void
+ForceLayout::rewind(const State &s)
+{
+    VIVA_ASSERT(g.nodeCount() == s.nodes.size(), "layout state of ",
+                s.nodes.size(), " nodes rewound onto ", g.nodeCount());
+    g.mutableNodes() = s.nodes;
+    iters = s.iters;
+    quarantined = s.quarantined;
 }
 
 double

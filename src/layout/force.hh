@@ -80,43 +80,45 @@ class ForceLayout
     const ForceParams &params() const { return prm; }
 
     /**
-     * Advance one iteration.
+     * Advance one iteration. Every repulsion chunk (and each serial
+     * pass boundary) polls the process-wide governor deadline -- one
+     * relaxed load while none is armed -- and when it has passed the
+     * step aborts with Errc::Deadline *before* the integration commit,
+     * so positions and velocities are exactly as before the call.
      * @param timestep_scale multiplies the configured timestep (the
      *        cooling schedule of stabilize() uses this)
      * @return kinetic energy after the step
      */
-    double step(double timestep_scale = 1.0);
+    support::Expected<double> step(double timestep_scale = 1.0);
 
     /**
      * Iterate until the average kinetic energy per node drops below
      * `energy_per_node` or `max_iters` is reached. A cooling schedule
      * shrinks the timestep whenever the energy stops decreasing, so
-     * near-equilibrium oscillation is damped out.
+     * near-equilibrium oscillation is damped out. A deadline abort
+     * propagates the step's error; iterations committed before it
+     * remain (see state() to rewind them).
      * @return iterations actually performed
      */
-    std::size_t stabilize(std::size_t max_iters = 500,
-                          double energy_per_node = 1e-3);
+    support::Expected<std::size_t> stabilize(std::size_t max_iters = 500,
+                                             double energy_per_node = 1e-3);
+
+    /** Everything a step commits: the nodes and the counters. */
+    struct State
+    {
+        std::vector<Node> nodes;
+        std::size_t iters = 0;
+        std::size_t quarantined = 0;
+    };
+
+    /** Capture what steps commit, for rewind(). */
+    State state() const;
 
     /**
-     * step() with cooperative cancellation: every repulsion chunk (and
-     * each serial pass boundary) polls the process-wide governor
-     * deadline, and when it has passed the step aborts with
-     * Errc::Deadline *before* the integration commit -- positions and
-     * velocities are exactly as before the call. The ungoverned step()
-     * never polls and never pays for the check beyond one branch.
+     * Put back what steps committed since `s` was taken. The graph's
+     * membership must not have changed in between.
      */
-    support::Expected<double> stepGoverned(double timestep_scale = 1.0);
-
-    /**
-     * stabilize() with cooperative cancellation. A deadline abort
-     * propagates the stepGoverned error; iterations committed before
-     * the abort remain (callers wanting whole-operation atomicity run
-     * this on a staged graph copy and swap on success, as Session
-     * does).
-     */
-    support::Expected<std::size_t>
-    stabilizeGoverned(std::size_t max_iters = 500,
-                      double energy_per_node = 1e-3);
+    void rewind(const State &s);
 
     /** Kinetic energy of the system (sum of v^2 per node). */
     double kineticEnergy() const;
@@ -143,26 +145,7 @@ class ForceLayout
      */
     std::size_t quarantineCount() const { return quarantined; }
 
-    /**
-     * Fold another layout's iteration/quarantine counters into this
-     * one -- used after a staged graph copy (driven by a scratch
-     * ForceLayout) is swapped in, so the session-visible counters
-     * still account for the work actually performed.
-     */
-    void
-    absorbCounters(const ForceLayout &other)
-    {
-        iters += other.iters;
-        quarantined += other.quarantined;
-    }
-
   private:
-    support::Expected<double> stepImpl(double timestep_scale,
-                                       bool governed);
-    support::Expected<std::size_t> stabilizeImpl(std::size_t max_iters,
-                                                 double energy_per_node,
-                                                 bool governed);
-
     LayoutGraph &g;
     ForceParams prm;
     std::size_t iters = 0;

@@ -10,7 +10,7 @@
  * support::Clock, worker chunks call deadlineExpired() (one relaxed
  * atomic load when nothing is armed), and the operation returns a
  * clean Errc::Deadline Expected error -- with session state unchanged,
- * because callers stage their work and only swap it in on success.
+ * because callers roll back or discard what the aborted work computed.
  *
  * The governor deliberately does NOT probe the OS for memory: byte
  * accounting lives in app::Session::workingSetBytes(), a deterministic

@@ -202,16 +202,6 @@ Trace::containersOfKind(ContainerKind kind) const
 }
 
 std::vector<ContainerId>
-Trace::leavesUnder(ContainerId id) const
-{
-    std::vector<ContainerId> out;
-    for (ContainerId c : subtree(id))
-        if (nodes[c.index()].leaf())
-            out.push_back(c);
-    return out;
-}
-
-std::vector<ContainerId>
 Trace::subtree(ContainerId id) const
 {
     VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
@@ -397,20 +387,26 @@ Trace::ensureClosure()
     obs::ScopedPhase timer(phase);
 
     // Preorder of the whole tree; every subtree is one contiguous slab
-    // of it. Sizes are filled right-to-left so children are done
-    // before their parent.
+    // of it. Sizes and leaf counts are filled right-to-left so
+    // children are done before their parent.
     closure.preorder = subtree(root());
     closure.preIndex.assign(nodes.size(), 0);
     closure.subtreeSize.assign(nodes.size(), 0);
+    closure.leafCount.assign(nodes.size(), 0);
     for (std::size_t slot = 0; slot < closure.preorder.size(); ++slot)
         closure.preIndex[closure.preorder[slot].index()] =
             std::uint32_t(slot);
     for (std::size_t slot = closure.preorder.size(); slot-- > 0;) {
         ContainerId id = closure.preorder[slot];
+        const Container &c = nodes[id.index()];
         std::uint32_t size = 1;
-        for (ContainerId child : nodes[id.index()].children)
+        std::uint32_t leaves = c.leaf() ? 1 : 0;
+        for (ContainerId child : c.children) {
             size += closure.subtreeSize[child.index()];
+            leaves += closure.leafCount[child.index()];
+        }
         closure.subtreeSize[id.index()] = size;
+        closure.leafCount[id.index()] = leaves;
     }
 
     // Per (container, metric): the non-empty carrying variables of the
@@ -447,6 +443,14 @@ Trace::cachedSubtree(ContainerId id) const
     VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
     return {closure.preorder.data() + closure.preIndex[id.index()],
             closure.subtreeSize[id.index()]};
+}
+
+std::size_t
+Trace::cachedLeafCount(ContainerId id) const
+{
+    VIVA_ASSERT(closureFresh(), "closure cache is stale");
+    VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
+    return closure.leafCount[id.index()];
 }
 
 std::span<const Variable *const>
@@ -593,6 +597,7 @@ Trace::auditInvariants() const
     if (closureFresh()) {
         if (closure.preIndex.size() != nodes.size() ||
             closure.subtreeSize.size() != nodes.size() ||
+            closure.leafCount.size() != nodes.size() ||
             closure.preorder.size() != nodes.size() ||
             closure.carrierOff.size() !=
                 nodes.size() * metricTable.size() + 1) {
@@ -610,6 +615,13 @@ Trace::auditInvariants() const
                           " disagrees with the hierarchy");
                 continue;
             }
+            if (cachedLeafCount(id) !=
+                std::size_t(std::count_if(
+                    expect.begin(), expect.end(), [&](ContainerId c) {
+                        return nodes[c.index()].leaf();
+                    })))
+                auditFail(log, "cached leaf count of container ", ni,
+                          " disagrees with the hierarchy");
             for (std::size_t mi = 0; mi < metricTable.size(); ++mi) {
                 MetricId m = MetricId::fromIndex(mi);
                 std::vector<const Variable *> expect_vars;

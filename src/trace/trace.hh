@@ -107,9 +107,6 @@ class Trace
     /** All containers of one kind, in id order. */
     std::vector<ContainerId> containersOfKind(ContainerKind kind) const;
 
-    /** All leaf containers in the subtree rooted at id (id included if leaf). */
-    std::vector<ContainerId> leavesUnder(ContainerId id) const;
-
     /** All containers in the subtree rooted at id, id included, preorder. */
     std::vector<ContainerId> subtree(ContainerId id) const;
 
@@ -217,6 +214,12 @@ class Trace
     std::span<const ContainerId> cachedSubtree(ContainerId id) const;
 
     /**
+     * Number of leaves in the subtree of a container (1 for a leaf).
+     * Requires a fresh closure.
+     */
+    std::size_t cachedLeafCount(ContainerId id) const;
+
+    /**
      * The cached non-empty variables carrying metric m inside the
      * subtree of c, in preorder-member order. Requires a fresh closure.
      * An out-of-range metric (e.g. a failed findMetric) yields an
@@ -261,7 +264,8 @@ class Trace
     /**
      * The hierarchy-closure cache. `preorder` is the root-first DFS
      * order of the whole tree; a container's subtree is the contiguous
-     * slab preorder[preIndex[c] .. preIndex[c] + subtreeSize[c]).
+     * slab preorder[preIndex[c] .. preIndex[c] + subtreeSize[c]),
+     * holding leafCount[c] leaves.
      * `carrierVars` holds, per (container, metric) in
      * container-major order, the non-empty variables of that subtree
      * (offsets in `carrierOff`). Pointers reference `vars` storage, so
@@ -274,6 +278,7 @@ class Trace
         std::vector<ContainerId> preorder;
         std::vector<std::uint32_t> preIndex;
         std::vector<std::uint32_t> subtreeSize;
+        std::vector<std::uint32_t> leafCount;
         std::vector<const Variable *> carrierVars;
         std::vector<std::uint32_t> carrierOff;
     };

@@ -118,32 +118,6 @@ Variable::average(double a, double b) const
     return integrate(a, b) / (b - a);
 }
 
-double
-Variable::maxOver(double a, double b) const
-{
-    double best = valueAt(a);
-    std::size_t i = indexAt(a);
-    std::size_t next = (i == npos) ? 0 : i + 1;
-    while (next < points.size() && points[next].time < b) {
-        best = std::max(best, points[next].value);
-        ++next;
-    }
-    return best;
-}
-
-double
-Variable::minOver(double a, double b) const
-{
-    double best = valueAt(a);
-    std::size_t i = indexAt(a);
-    std::size_t next = (i == npos) ? 0 : i + 1;
-    while (next < points.size() && points[next].time < b) {
-        best = std::min(best, points[next].value);
-        ++next;
-    }
-    return best;
-}
-
 bool
 Variable::indexConsistent() const
 {

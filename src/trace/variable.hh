@@ -74,15 +74,6 @@ class Variable
         return average(slice.begin, slice.end);
     }
 
-    /**
-     * Largest value attained inside [a, b) (including the value at a).
-     * Linear in the change points inside the interval.
-     */
-    double maxOver(double a, double b) const;
-
-    /** Smallest value attained inside [a, b); linear like maxOver. */
-    double minOver(double a, double b) const;
-
     /** Time of the first change point; 0 when empty. */
     double firstTime() const;
 

@@ -54,17 +54,6 @@ randomVariable(std::size_t n, std::uint64_t seed)
     return v;
 }
 
-/** The values attained inside [a, b): the one at a, then (a, b). */
-std::vector<double>
-valuesOver(const vt::Variable &v, double a, double b)
-{
-    std::vector<double> out{v.valueAt(a)};
-    for (const vt::Variable::Point &p : v.changePoints())
-        if (p.time > a && p.time < b)
-            out.push_back(p.value);
-    return out;
-}
-
 /** Every reduction against the reference scans, on one slice. */
 void
 expectAllOpsAgree(const vt::Variable &v, double a, double b)
@@ -73,11 +62,6 @@ expectAllOpsAgree(const vt::Variable &v, double a, double b)
     EXPECT_LE(relErr(v.integrate(a, b), oracle::scanIntegral(v, a, b)),
               kTol)
         << "integrate over [" << a << ", " << b << ")";
-    std::vector<double> seen = valuesOver(v, a, b);
-    EXPECT_EQ(v.maxOver(a, b), *std::max_element(seen.begin(), seen.end()))
-        << "maxOver over [" << a << ", " << b << ")";
-    EXPECT_EQ(v.minOver(a, b), *std::min_element(seen.begin(), seen.end()))
-        << "minOver over [" << a << ", " << b << ")";
     // average = integrate / width, so it inherits the integral bound;
     // check it anyway because it is the Equation-1 default.
     double width = b - a;
@@ -386,8 +370,7 @@ TEST(ClosureCache, CachedAndFallbackAggregationsAgreeOnAllOps)
                                   va::SpatialOp::Average,
                                   va::SpatialOp::Max, va::SpatialOp::Min};
     const va::TemporalOp tops[] = {
-        va::TemporalOp::Average, va::TemporalOp::Max, va::TemporalOp::Min,
-        va::TemporalOp::Integral};
+        va::TemporalOp::Average, va::TemporalOp::Integral};
 
     // The closure fold against the test's subtree + findVariable
     // fold. Bitwise equality is the contract: both run the same chunk

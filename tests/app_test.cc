@@ -9,12 +9,14 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "app/commands.hh"
 #include "app/session.hh"
 #include "layout/metrics.hh"
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
+#include "support/obs.hh"
 #include "trace/builder.hh"
 
 namespace va = viva::agg;
@@ -45,6 +47,34 @@ tempDir()
 }
 
 } // namespace
+
+TEST(Session, IsNeitherCopyableNorMovable)
+{
+    // A copy would keep its cut on the source's trace and its layout
+    // engine on the source's graph.
+    static_assert(!std::is_copy_constructible_v<vap::Session> &&
+                  !std::is_move_constructible_v<vap::Session>);
+    static_assert(!std::is_copy_assignable_v<vap::Session> &&
+                  !std::is_move_assignable_v<vap::Session>);
+}
+
+TEST(Session, SliceScrubReusesTheCutProjection)
+{
+    // Only the cut decides what is visible: frames over new slices
+    // read its kept projection instead of rebuilding it.
+    vap::Session s(vt::makeFigure1Trace());
+    viva::support::obs::Registry &reg =
+        viva::support::obs::Registry::global();
+    const viva::support::obs::CounterId recomputations =
+        reg.counter("cut.recomputations");
+    const std::uint64_t before = reg.counterValue(recomputations);
+    const std::string path = tempDir() + "/scrub.svg";
+    for (std::uint32_t i = 0; i < 50; ++i) {
+        s.setSliceOf(va::SliceIndex{i % 10}, 10);
+        ASSERT_TRUE(s.renderSvg(path).ok());
+    }
+    EXPECT_EQ(reg.counterValue(recomputations), before);
+}
 
 TEST(Session, InitialStateCoversWholeSpan)
 {

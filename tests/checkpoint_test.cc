@@ -57,15 +57,14 @@ tempDir()
 }
 
 /**
- * A session with every checkpointed degree of freedom exercised:
- * a non-trivial slice, a coarsened cut, touched force and size
- * sliders, a moved and a pinned node, explicit threads and governor
- * budgets, and a relaxed layout.
+ * Exercise every checkpointed degree of freedom of a session over the
+ * Figure-1 trace, in place: a non-trivial slice, a coarsened cut,
+ * touched force and size sliders, a moved and a pinned node, explicit
+ * threads and governor budgets, and a relaxed layout.
  */
-vap::Session
-makeBusySession()
+void
+makeBusy(vap::Session &s)
 {
-    vap::Session s(vt::makeFigure1Trace());
     s.setSliceOf(viva::agg::SliceIndex{1}, 3);
     s.forceParams().charge *= 1.5;
     s.forceParams().spring *= 0.8;
@@ -77,14 +76,14 @@ makeBusySession()
     EXPECT_TRUE(s.pinNode("HostB", true));
     s.setMemoryBudget(1ull << 30);  // generous: no degradation
     s.setOperationDeadline(0);
-    return s;
 }
 
 /** A small but fully populated image for format-level tests. */
 vap::CheckpointImage
 makeImage()
 {
-    vap::Session s = makeBusySession();
+    vap::Session s(vt::makeFigure1Trace());
+    makeBusy(s);
     auto path = (tempDir() / "image_source.ckpt").string();
     EXPECT_TRUE(s.checkpoint(path).ok());
     auto image = vap::readCheckpointFile(path);
@@ -234,13 +233,15 @@ TEST(CheckpointWriter, FaultedWriteLeavesTheOldCheckpointIntact)
     FaultGuard guard;
     auto path = (tempDir() / "atomic.ckpt").string();
 
-    vap::Session first = makeBusySession();
+    vap::Session first(vt::makeFigure1Trace());
+    makeBusy(first);
     ASSERT_TRUE(first.checkpoint(path).ok());
     const std::string before = readFile(path);
     const std::uint64_t first_digest = first.stateDigest();
 
     // A different state, whose write dies mid-stream on every attempt.
-    vap::Session second = makeBusySession();
+    vap::Session second(vt::makeFigure1Trace());
+    makeBusy(second);
     second.setSliceOf(viva::agg::SliceIndex{0}, 3);
     second.retryPolicy().maxAttempts = 2;
     vs::FakeClock fake;
@@ -264,7 +265,8 @@ TEST(CheckpointWriter, TransientWriteFaultIsRetriedToSuccess)
     FaultGuard guard;
     auto path = (tempDir() / "retried.ckpt").string();
 
-    vap::Session s = makeBusySession();
+    vap::Session s(vt::makeFigure1Trace());
+    makeBusy(s);
     s.retryPolicy().maxAttempts = 3;
     vs::FakeClock fake;
     vs::ClockOverride clock_guard(fake);
@@ -297,7 +299,8 @@ TEST(CheckpointWriter, ChunkedWritesProduceIdenticalBytes)
 TEST(CheckpointRestore, RestoreIsBitwiseEquivalentToTheCheckpoint)
 {
     auto path = (tempDir() / "roundtrip.ckpt").string();
-    vap::Session original = makeBusySession();
+    vap::Session original(vt::makeFigure1Trace());
+    makeBusy(original);
     const std::uint64_t digest = original.stateDigest();
     ASSERT_TRUE(original.checkpoint(path).ok());
 
@@ -346,13 +349,15 @@ TEST(CheckpointRestore, FailedRestoreLeavesTheSessionUnchanged)
     FaultGuard guard;
     auto good = (tempDir() / "good.ckpt").string();
     auto bad = (tempDir() / "bad.ckpt").string();
-    vap::Session source = makeBusySession();
+    vap::Session source(vt::makeFigure1Trace());
+    makeBusy(source);
     ASSERT_TRUE(source.checkpoint(good).ok());
     std::string bytes = readFile(good);
     bytes[bytes.size() / 2] ^= 0x10;
     writeFile(bad, bytes);
 
-    vap::Session s = makeBusySession();
+    vap::Session s(vt::makeFigure1Trace());
+    makeBusy(s);
     const std::uint64_t digest = s.stateDigest();
 
     auto corrupt = s.restore(bad);
@@ -382,7 +387,8 @@ TEST(CheckpointRestore, FailedRestoreLeavesTheSessionUnchanged)
 TEST(CheckpointCommands, CheckpointAndRestoreRoundTripThroughTheCli)
 {
     auto path = (tempDir() / "cli.ckpt").string();
-    vap::Session s = makeBusySession();
+    vap::Session s(vt::makeFigure1Trace());
+    makeBusy(s);
     const std::uint64_t digest = s.stateDigest();
     vap::CommandInterpreter cli(s);
 

@@ -265,7 +265,7 @@ TEST(InjectionPoints, LayoutForceNanIsQuarantined)
     spec.seed = 11;
     vs::FaultInjector::global().arm("layout.force.nan", spec);
     for (int i = 0; i < 20; ++i)
-        layout.step();
+        layout.step().value();
 
     EXPECT_GT(layout.quarantineCount(), 0u);
     for (const vl::Node &n : graph.rawNodes()) {
@@ -280,7 +280,7 @@ TEST(InjectionPoints, LayoutForceNanIsQuarantined)
     vs::FaultInjector::global().disarmAll();
     std::size_t before = layout.quarantineCount();
     for (int i = 0; i < 20; ++i)
-        layout.step();
+        layout.step().value();
     EXPECT_EQ(layout.quarantineCount(), before);
 }
 
@@ -559,7 +559,7 @@ TEST(ObservedFaults, LayoutForceNan)
         spec.seed = 11;
         vs::FaultInjector::global().arm("layout.force.nan", spec);
         for (int i = 0; i < 20; ++i)
-            layout.step();
+            layout.step().value();
         EXPECT_GT(layout.quarantineCount(), 0u);
     });
 }

@@ -54,10 +54,6 @@ temporalReduce(const trace::Variable &v, const agg::TimeSlice &slice,
     switch (top) {
       case agg::TemporalOp::Average:
         return v.average(slice);
-      case agg::TemporalOp::Max:
-        return v.maxOver(slice.begin, slice.end);
-      case agg::TemporalOp::Min:
-        return v.minOver(slice.begin, slice.end);
       case agg::TemporalOp::Integral:
         return v.integrate(slice);
     }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -38,6 +39,15 @@ tempDir()
         std::filesystem::temp_directory_path() / "viva_governor_test";
     std::filesystem::create_directories(dir);
     return dir.string();
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
 }
 
 /** A session over the deeper two-cluster platform hierarchy. */
@@ -132,9 +142,8 @@ TEST(Governor, AnimateAbortRollsTheWholeOperationBack)
 
 TEST(Governor, GenerousDeadlineCommitsTheIdenticalResult)
 {
-    // A frozen fake clock never expires any deadline, so the governed
-    // staged-copy path must commit exactly what the ungoverned path
-    // computes.
+    // A frozen fake clock never expires any deadline, so a governed
+    // operation must commit exactly what an ungoverned one computes.
     vs::FakeClock fake;  // tick 0: time stands still
     vs::ClockOverride guard(fake);
 
@@ -149,7 +158,12 @@ TEST(Governor, GenerousDeadlineCommitsTheIdenticalResult)
     governed.setOperationDeadline(0);
     EXPECT_EQ(governed.stateDigest(), plain.stateDigest());
 
+    // Rendering under the deadline writes the same bytes as without.
+    governed.setOperationDeadline(3'600'000'000'000ull);
     ASSERT_TRUE(governed.renderSvg(tempDir() + "/gov_ok.svg").ok());
+    ASSERT_TRUE(plain.renderSvg(tempDir() + "/plain_ok.svg").ok());
+    EXPECT_EQ(readFile(tempDir() + "/gov_ok.svg"),
+              readFile(tempDir() + "/plain_ok.svg"));
 }
 
 // --- the working-set model and the degradation ladder --------------------------

@@ -12,6 +12,7 @@
 
 #include "agg/aggregate.hh"
 #include "agg/hierarchy_cut.hh"
+#include "cut_oracle.hh"
 #include "platform/builders.hh"
 #include "sim/tracer.hh"
 #include "support/random.hh"
@@ -167,15 +168,15 @@ TEST_P(CutPartition, VisibleNodesPartitionTheLeaves)
     std::vector<int> covered(trace.containerCount(), 0);
     for (auto v : visible) {
         EXPECT_TRUE(cut.isVisible(v));
-        for (auto leaf : trace.leavesUnder(v))
+        for (auto leaf : viva::oracle::leavesUnder(trace, v))
             ++covered[leaf.index()];
     }
-    for (auto leaf : trace.leavesUnder(trace.root()))
+    for (auto leaf : viva::oracle::leavesUnder(trace, trace.root()))
         EXPECT_EQ(covered[leaf.index()], 1) << "leaf " << leaf;
 
     // representative() agrees with the covering node.
     for (auto v : visible)
-        for (auto leaf : trace.leavesUnder(v))
+        for (auto leaf : viva::oracle::leavesUnder(trace, v))
             EXPECT_EQ(cut.representative(leaf), v);
 }
 
@@ -214,16 +215,104 @@ TEST_P(CutPartition, FocusShowsTargetAndAggregatesRest)
     cut.focus({target});
 
     // Every leaf under the target is visible itself.
-    for (auto leaf : trace.leavesUnder(target))
+    for (auto leaf : viva::oracle::leavesUnder(trace, target))
         EXPECT_TRUE(cut.isVisible(leaf));
     // Other sites are single aggregated nodes.
     auto site2 = trace.findByName("site2");
     ASSERT_NE(site2, vt::kNoContainer);
     EXPECT_TRUE(cut.isCollapsed(site2));
-    EXPECT_EQ(cut.representative(trace.leavesUnder(site2)[0]), site2);
+    EXPECT_EQ(
+        cut.representative(viva::oracle::leavesUnder(trace, site2)[0]),
+        site2);
     // The sibling cluster of the target is aggregated, not expanded.
     auto sibling = trace.findByName("site1-c1");
     EXPECT_TRUE(cut.isCollapsed(sibling));
+}
+
+/**
+ * The cut keeps its projection across operations: after every kind of
+ * operation its visible nodes and edges equal a fresh re-projection by
+ * the hash-map reference, order and multiplicities included, on random
+ * hierarchies with relations between arbitrary containers.
+ */
+TEST_P(CutPartition, KeptProjectionMatchesTheOracleAfterEveryOperation)
+{
+    viva::support::Rng rng(300 + GetParam());
+    vt::Trace trace;
+    const std::size_t n = 20 + rng.index(60);
+    auto any = [&] {
+        return vt::ContainerId(rng.index(trace.containerCount()));
+    };
+    for (std::size_t i = 0; i < n; ++i)
+        trace.addContainer("c" + std::to_string(i), vt::ContainerKind::Host,
+                           any());
+    for (std::size_t i = 0; i < 3 * n; ++i)
+        trace.addRelation(any(), any());
+
+    va::HierarchyCut cut(trace);
+    auto expectOracle = [&](const char *op) {
+        std::vector<vt::ContainerId> nodes =
+            viva::oracle::projectNodes(trace, cut);
+        std::span<const vt::ContainerId> kept = cut.visibleNodes();
+        EXPECT_TRUE(std::equal(kept.begin(), kept.end(), nodes.begin(),
+                               nodes.end()))
+            << "visible nodes after " << op;
+        EXPECT_EQ(cut.visibleCount(), nodes.size()) << op;
+        std::vector<va::ViewEdge> edges =
+            viva::oracle::projectEdges(trace, cut);
+        const std::vector<va::ViewEdge> &kept_edges = cut.visibleEdges();
+        ASSERT_EQ(kept_edges.size(), edges.size()) << "edges after " << op;
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            EXPECT_EQ(kept_edges[i].a, edges[i].a) << op << " edge " << i;
+            EXPECT_EQ(kept_edges[i].b, edges[i].b) << op << " edge " << i;
+            EXPECT_EQ(kept_edges[i].multiplicity, edges[i].multiplicity)
+                << op << " edge " << i;
+        }
+        EXPECT_TRUE(cut.auditInvariants().empty()) << op;
+    };
+
+    expectOracle("construction");
+    for (int step = 0; step < 60; ++step) {
+        vt::ContainerId id = any();
+        switch (rng.index(7)) {
+          case 0:
+            cut.aggregate(id);
+            expectOracle("aggregate");
+            break;
+          case 1:
+            cut.disaggregate(id);
+            expectOracle("disaggregate");
+            break;
+          case 2:
+            cut.aggregateToDepth(std::uint16_t(rng.index(5)));
+            expectOracle("aggregateToDepth");
+            break;
+          case 3:
+            cut.focus({id, any()});
+            expectOracle("focus");
+            break;
+          case 4:
+            cut.reset();
+            expectOracle("reset");
+            break;
+          case 5: {
+            std::vector<std::uint8_t> flags(trace.containerCount(), 0);
+            for (std::size_t c = 0; c < flags.size(); ++c)
+                flags[c] = !trace.container(vt::ContainerId(c)).leaf() &&
+                           rng.uniform() < 0.3;
+            ASSERT_TRUE(cut.setCollapsedFlags(flags).ok());
+            expectOracle("setCollapsedFlags");
+            break;
+          }
+          default:
+            // Nested flags are legal; a collapsed leaf is not.
+            if (!trace.container(id).leaf()) {
+                cut.debugSetCollapsed(id, rng.uniform() < 0.5);
+                expectOracle("debugSetCollapsed");
+            }
+            break;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CutPartition, ::testing::Range(1, 9));

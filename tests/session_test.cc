@@ -13,6 +13,7 @@
 
 #include "app/commands.hh"
 #include "app/session.hh"
+#include "cut_oracle.hh"
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
 #include "sim/tracer.hh"
@@ -116,7 +117,7 @@ TEST(HierarchyCutFocus, MultipleTargets)
     // (nothing else to collapse but the clusters).
     EXPECT_FALSE(cut.isCollapsed(adonis));
     EXPECT_FALSE(cut.isCollapsed(griffon));
-    for (auto leaf : t.leavesUnder(adonis))
+    for (auto leaf : viva::oracle::leavesUnder(t, adonis))
         EXPECT_TRUE(cut.isVisible(leaf));
 }
 

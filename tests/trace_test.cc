@@ -105,18 +105,6 @@ TEST(Variable, AverageMatchesIntegral)
     EXPECT_DOUBLE_EQ(v.average(3.0, 3.0), 10.0);
 }
 
-TEST(Variable, MinMaxOverWindow)
-{
-    vt::Variable v;
-    v.set(0.0, 5.0);
-    v.set(2.0, 9.0);
-    v.set(4.0, 1.0);
-    EXPECT_DOUBLE_EQ(v.maxOver(0.0, 10.0), 9.0);
-    EXPECT_DOUBLE_EQ(v.minOver(0.0, 10.0), 1.0);
-    EXPECT_DOUBLE_EQ(v.maxOver(0.0, 2.0), 5.0);  // change at 2 excluded
-    EXPECT_DOUBLE_EQ(v.maxOver(2.5, 3.5), 9.0);
-}
-
 TEST(Variable, CompactRemovesRepeats)
 {
     vt::Variable v;
@@ -202,10 +190,13 @@ TEST(Trace, SubtreeAndLeaves)
     EXPECT_EQ(sub.size(), 6u);
     EXPECT_EQ(sub[0], s);  // preorder: s first
 
-    auto leaves = t.leavesUnder(s);
-    EXPECT_EQ(leaves, (std::vector<vt::ContainerId>{h1, h2, h3}));
-    EXPECT_EQ(t.leavesUnder(h1),
-              (std::vector<vt::ContainerId>{h1}));
+    t.ensureClosure();
+    EXPECT_EQ(t.cachedLeafCount(t.root()), 3u);
+    EXPECT_EQ(t.cachedLeafCount(s), 3u);
+    EXPECT_EQ(t.cachedLeafCount(c1), 2u);
+    EXPECT_EQ(t.cachedLeafCount(c2), 1u);
+    for (vt::ContainerId leaf : {h1, h2, h3})
+        EXPECT_EQ(t.cachedLeafCount(leaf), 1u);
 }
 
 TEST(Trace, AncestorQueries)

@@ -76,7 +76,10 @@ TEST(Tracer, UtilizationNeverExceedsCapacity)
     ASSERT_NE(used, nullptr);
     for (const auto &pt : used->changePoints())
         EXPECT_LE(pt.value, 100.0 * (1 + 1e-9));
-    EXPECT_DOUBLE_EQ(used->maxOver(0.0, 10.0), 100.0);  // saturated
+    // Saturated while the 8 x 25 units cross, and the integral is
+    // exactly the volume carried.
+    EXPECT_DOUBLE_EQ(used->average(0.0, 2.0), 100.0);
+    EXPECT_DOUBLE_EQ(used->integrate(0.0, 10.0), 200.0);
 }
 
 TEST(Tracer, SkipsRepeatedValues)

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <locale>
 #include <map>
 #include <regex>
 #include <set>
@@ -625,12 +626,32 @@ companionHeader(const std::string &path)
     return path.substr(0, dot) + ".hh";
 }
 
+/**
+ * std::regex narrows characters through the global locale's
+ * ctype<char> facet, and libstdc++ fills that facet's narrow() table
+ * lazily, one character per call -- a write that races when pool
+ * workers compile or match regexes at once. Narrowing every character
+ * once, before the fan-out, fills the whole table, so the workers only
+ * read it.
+ */
+void
+fillNarrowTable()
+{
+    const auto &ctype = std::use_facet<std::ctype<char>>(std::locale());
+    char all[256];
+    char narrowed[256];
+    for (std::size_t c = 0; c < sizeof(all); ++c)
+        all[c] = char(c);
+    ctype.narrow(all, all + sizeof(all), '\0', narrowed);
+}
+
 } // namespace
 
 std::vector<Finding>
 runLint(const std::vector<FileInput> &files, std::size_t jobs)
 {
     const std::size_t n = files.size();
+    fillNarrowTable();
 
     // Chunk bodies write only their own index's slot, so parallel
     // passes merge into the same state serial ones produce.
