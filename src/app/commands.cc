@@ -22,7 +22,7 @@ using support::trim;
 bool
 CommandInterpreter::execute(const std::string &line, std::ostream &out)
 {
-    std::string stripped = trim(line);
+    std::string_view stripped = trim(line);
     bool counted = !stripped.empty() && stripped[0] != '#';
     const std::size_t every_before = autoCkptEvery;
     const std::string path_before = autoCkptPath;
@@ -46,7 +46,7 @@ CommandInterpreter::execute(const std::string &line, std::ostream &out)
 bool
 CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
 {
-    std::string stripped = trim(line);
+    std::string_view stripped = trim(line);
     if (stripped.empty() || stripped[0] == '#')
         return true;
 

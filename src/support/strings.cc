@@ -5,10 +5,12 @@
 
 #include "support/strings.hh"
 
+#include <algorithm>
 #include <cctype>
-#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <ostream>
 
 namespace viva::support
 {
@@ -46,7 +48,7 @@ splitWhitespace(std::string_view text)
     return fields;
 }
 
-std::string
+std::string_view
 trim(std::string_view text)
 {
     std::size_t b = 0;
@@ -55,7 +57,7 @@ trim(std::string_view text)
         ++b;
     while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1])))
         --e;
-    return std::string(text.substr(b, e - b));
+    return text.substr(b, e - b);
 }
 
 std::string
@@ -93,26 +95,72 @@ toLower(std::string_view text)
     return out;
 }
 
+namespace
+{
+
+/**
+ * Whether a number std::from_chars found out of range lies above the
+ * largest double rather than below the smallest: its order of
+ * magnitude (the leading digit's place plus the exponent) is positive.
+ * Out-of-range magnitudes are beyond 1e308 or under 1e-323, so this
+ * estimate cannot land on the wrong side of 1.
+ */
+bool
+overflows(std::string_view number, bool hex)
+{
+    std::size_t mark = number.find_first_of(hex ? "pP" : "eE");
+    std::string_view digits = number.substr(0, mark);
+    long long exponent = 0;
+    if (mark != std::string_view::npos) {
+        std::string_view exp = number.substr(mark + 1);
+        if (exp[0] == '+')
+            exp.remove_prefix(1);
+        if (std::from_chars(exp.data(), exp.data() + exp.size(), exponent)
+                .ec == std::errc::result_out_of_range)
+            return exp[0] != '-';
+    }
+    std::size_t point = std::min(digits.find('.'), digits.size());
+    std::size_t lead = digits.find_first_not_of("0.");
+    double places = lead < point ? double(point - lead)
+                                 : -double(lead - point);
+    return double(exponent) + (hex ? 4 : 1) * places > 0;
+}
+
+} // namespace
+
 bool
 parseDouble(std::string_view text, double &out)
 {
-    // std::from_chars for double is available in libstdc++ >= 11.
-    std::string s = trim(text);
-    if (s.empty())
+    // from_chars parses strtod's grammar except for the sign, the "0x"
+    // prefix and out-of-range values, which are handled here.
+    std::string_view s = trim(text);
+    bool negative = !s.empty() && s[0] == '-';
+    if (!s.empty() && (s[0] == '-' || s[0] == '+'))
+        s.remove_prefix(1);
+    bool hex = s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') &&
+               (std::isxdigit(static_cast<unsigned char>(s[2])) || s[2] == '.');
+    if (hex)
+        s.remove_prefix(2);
+    if (s.empty() || s[0] == '-' || s[0] == '+')
         return false;
-    const char *begin = s.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    if (end != begin + s.size())
+    double v = 0.0;
+    auto [ptr, ec] = std::from_chars(
+        s.data(), s.data() + s.size(), v,
+        hex ? std::chars_format::hex : std::chars_format::general);
+    if (ptr != s.data() + s.size())
         return false;
-    out = v;
+    if (ec == std::errc::result_out_of_range)
+        v = overflows(s, hex) ? HUGE_VAL : 0.0;
+    else if (ec != std::errc())
+        return false;
+    out = negative ? -v : v;
     return true;
 }
 
 bool
 parseSize(std::string_view text, std::size_t &out)
 {
-    std::string s = trim(text);
+    std::string_view s = trim(text);
     if (s.empty())
         return false;
     std::size_t v = 0;
@@ -126,10 +174,8 @@ parseSize(std::string_view text, std::size_t &out)
 std::string
 formatDouble(double value)
 {
-    char buf[64];
-    // %.17g is the smallest precision guaranteed to round-trip a binary64.
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 std::string
@@ -168,6 +214,29 @@ xmlEscape(std::string_view text)
         }
     }
     return out;
+}
+
+BlockWriter &
+BlockWriter::operator<<(std::string_view text)
+{
+    if (text.size() > kBlock - used) {
+        flush();
+        if (text.size() >= kBlock) {
+            sink.write(text.data(), std::streamsize(text.size()));
+            return *this;
+        }
+    }
+    std::memcpy(block + used, text.data(), text.size());
+    used += text.size();
+    return *this;
+}
+
+void
+BlockWriter::flush()
+{
+    if (used > 0)
+        sink.write(block, std::streamsize(used));
+    used = 0;
 }
 
 } // namespace viva::support

@@ -21,10 +21,8 @@ namespace viva::trace
 namespace obs = support::obs;
 
 using support::Errc;
-using support::formatDouble;
 using support::parseDouble;
 using support::parseSize;
-using support::split;
 using support::trim;
 
 void
@@ -35,32 +33,34 @@ writeTrace(const Trace &trace, std::ostream &out)
     static const obs::CounterId records = reg.counter("trace.write.records");
     obs::ScopedPhase timer(phase);
     std::uint64_t written = 0;
+    support::BlockWriter w(out);
 
-    out << "viva-trace 1\n";
+    w << "viva-trace 1\n";
 
     for (ContainerId id{1}; id.index() < trace.containerCount(); ++id) {
         const Container &c = trace.container(id);
-        out << "container " << id << ' ';
+        w << "container " << id.index() << ' ';
         if (c.parent == trace.root())
-            out << '-';
+            w << '-';
         else
-            out << c.parent;
-        out << ' ' << containerKindName(c.kind) << ' ' << c.name << '\n';
+            w << c.parent.index();
+        w << ' ' << containerKindName(c.kind) << ' ' << c.name << '\n';
     }
 
     for (MetricId id{0}; id.index() < trace.metricCount(); ++id) {
         const Metric &m = trace.metric(id);
-        out << "metric " << id << ' ' << metricNatureName(m.nature) << ' ';
+        w << "metric " << id.index() << ' ' << metricNatureName(m.nature)
+          << ' ';
         if (m.capacityOf == kNoMetric)
-            out << '-';
+            w << '-';
         else
-            out << m.capacityOf;
-        out << ' ' << (m.unit.empty() ? "-" : m.unit) << ' ' << m.name
-            << '\n';
+            w << m.capacityOf.index();
+        w << ' ' << (m.unit.empty() ? "-" : m.unit) << ' ' << m.name
+          << '\n';
     }
 
     for (const Trace::Relation &r : trace.relations())
-        out << "rel " << r.a << ' ' << r.b << '\n';
+        w << "rel " << r.a.index() << ' ' << r.b.index() << '\n';
 
     for (ContainerId c{0}; c.index() < trace.containerCount(); ++c) {
         for (MetricId m{0}; m.index() < trace.metricCount(); ++m) {
@@ -68,16 +68,16 @@ writeTrace(const Trace &trace, std::ostream &out)
             if (!var)
                 continue;
             for (const Variable::Point &p : var->changePoints()) {
-                out << "p " << c << ' ' << m << ' ' << formatDouble(p.time)
-                    << ' ' << formatDouble(p.value) << '\n';
+                w << "p " << c.index() << ' ' << m.index() << ' ' << p.time
+                  << ' ' << p.value << '\n';
                 ++written;
             }
         }
     }
 
     for (const Trace::StateRecord &s : trace.states()) {
-        out << "state " << s.container << ' ' << formatDouble(s.begin)
-            << ' ' << formatDouble(s.end) << ' ' << s.state << '\n';
+        w << "state " << s.container.index() << ' ' << s.begin << ' '
+          << s.end << ' ' << s.state << '\n';
         ++written;
     }
 
@@ -110,12 +110,14 @@ writeTraceFile(const Trace &trace, const std::string &path)
 namespace
 {
 
-/** Split off the first n whitespace fields; the remainder is the name. */
+/**
+ * Split off the first n (at most 4) whitespace fields of line as views
+ * into it; the remainder, trimmed, is the name.
+ */
 bool
-splitFields(const std::string &line, std::size_t n,
-            std::vector<std::string> &fields, std::string &rest)
+splitFields(std::string_view line, std::size_t n, std::string_view *fields,
+            std::string_view &rest)
 {
-    fields.clear();
     std::size_t i = 0;
     auto skip_ws = [&] {
         while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i])))
@@ -128,12 +130,10 @@ splitFields(const std::string &line, std::size_t n,
             ++i;
         if (i == start)
             return false;
-        fields.emplace_back(line.substr(start, i - start));
+        fields[f] = line.substr(start, i - start);
     }
-    skip_ws();
-    rest = line.substr(i);
-    // Trim trailing whitespace (e.g. CR from DOS files).
-    rest = trim(rest);
+    // Trim trailing whitespace too (e.g. CR from DOS files).
+    rest = trim(line.substr(i));
     return true;
 }
 
@@ -167,8 +167,8 @@ readTrace(std::istream &in, const ParseBudget &budget)
         return fail(Errc::Parse, "missing 'viva-trace 1' header");
 
     Trace trace;
-    std::vector<std::string> fields;
-    std::string rest;
+    std::string_view fields[4];
+    std::string_view rest;
     std::size_t records = 0;
 
     while (std::getline(in, line)) {
@@ -181,17 +181,15 @@ readTrace(std::istream &in, const ParseBudget &budget)
                         "line exceeds the parse budget (" +
                             std::to_string(budget.maxLineLength) +
                             " bytes)");
-        std::string stripped = trim(line);
+        std::string_view stripped = trim(line);
         if (stripped.empty() || stripped[0] == '#')
             continue;
 
         std::size_t sp = stripped.find(' ');
-        std::string verb = sp == std::string::npos
-                               ? stripped
-                               : stripped.substr(0, sp);
-        std::string body = sp == std::string::npos
-                               ? std::string()
-                               : stripped.substr(sp + 1);
+        std::string_view verb = stripped.substr(0, sp);
+        std::string_view body = sp == std::string_view::npos
+                                    ? std::string_view()
+                                    : stripped.substr(sp + 1);
 
         if (verb == "container") {
             if (!splitFields(body, 3, fields, rest) || rest.empty())
@@ -209,15 +207,16 @@ readTrace(std::istream &in, const ParseBudget &budget)
                     return fail(Errc::Parse, "bad parent id");
                 parent = ContainerId::fromIndex(p);
             }
-            ContainerKind kind = containerKindFromName(fields[2]);
-            if (rest.find('/') != std::string::npos)
+            ContainerKind kind = containerKindFromName(std::string(fields[2]));
+            std::string name(rest);
+            if (name.find('/') != std::string::npos)
                 return fail(Errc::Parse,
-                            "container name '" + rest +
+                            "container name '" + name +
                                 "' must not contain '/'");
-            if (trace.findChild(parent, rest) != kNoContainer)
+            if (trace.findChild(parent, name) != kNoContainer)
                 return fail(Errc::Parse,
-                            "duplicate container '" + rest + "'");
-            ContainerId got = trace.addContainer(rest, kind, parent);
+                            "duplicate container '" + name + "'");
+            ContainerId got = trace.addContainer(name, kind, parent);
             if (got.index() != id)
                 return fail(Errc::Parse, "container ids must be dense");
         } else if (verb == "metric") {
@@ -229,7 +228,7 @@ readTrace(std::istream &in, const ParseBudget &budget)
             if (trace.metricCount() >= budget.maxMetrics)
                 return fail(Errc::Budget,
                             "metric count exceeds the parse budget");
-            MetricNature nature = metricNatureFromName(fields[1]);
+            MetricNature nature = metricNatureFromName(std::string(fields[1]));
             MetricId cap = kNoMetric;
             if (fields[2] != "-") {
                 std::size_t c = 0;
@@ -237,11 +236,12 @@ readTrace(std::istream &in, const ParseBudget &budget)
                     return fail(Errc::Parse, "bad capacityOf id");
                 cap = MetricId::fromIndex(c);
             }
-            std::string unit = fields[3] == "-" ? "" : fields[3];
-            if (trace.findMetric(rest) != kNoMetric)
+            std::string unit(fields[3] == "-" ? "" : fields[3]);
+            std::string name(rest);
+            if (trace.findMetric(name) != kNoMetric)
                 return fail(Errc::Parse,
-                            "duplicate metric '" + rest + "'");
-            MetricId got = trace.addMetric(rest, unit, nature, cap);
+                            "duplicate metric '" + name + "'");
+            MetricId got = trace.addMetric(name, unit, nature, cap);
             if (got.index() != id)
                 return fail(Errc::Parse, "metric ids must be dense");
         } else if (verb == "rel") {
@@ -286,9 +286,10 @@ readTrace(std::istream &in, const ParseBudget &budget)
             if (++records > budget.maxRecords)
                 return fail(Errc::Budget,
                             "record count exceeds the parse budget");
-            trace.addState(ContainerId::fromIndex(c), b, e, rest);
+            trace.addState(ContainerId::fromIndex(c), b, e, std::string(rest));
         } else {
-            return fail(Errc::Parse, "unknown record '" + verb + "'");
+            return fail(Errc::Parse,
+                        "unknown record '" + std::string(verb) + "'");
         }
     }
 

@@ -13,6 +13,7 @@
 #include "trace/paje.hh"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -33,7 +34,6 @@ namespace viva::trace
 namespace obs = support::obs;
 
 using support::Errc;
-using support::formatDouble;
 using support::parseDouble;
 using support::toLower;
 using support::trim;
@@ -41,23 +41,57 @@ using support::trim;
 namespace
 {
 
-/** One field of an event definition. */
-struct FieldDef
+/** The fields the reader looks up, in kFieldNames order. */
+enum class Field : std::uint8_t
 {
-    std::string name;   // as declared (Time, Container, ...)
-    std::string type;   // date, double, int, string
+    Time,
+    Alias,
+    Name,
+    Type,
+    Container,
+    Value,
+    Key,
+    StartContainer,
+    SourceContainer,
+    EndContainer,
+    DestContainer,
 };
 
-/** One %EventDef block. */
+constexpr std::string_view kFieldNames[] = {
+    "Time", "Alias", "Name", "Type", "Container", "Value", "Key",
+    "StartContainer", "SourceContainer", "EndContainer", "DestContainer"};
+
+/** One %EventDef block, its fields resolved when they are declared. */
 struct EventDef
 {
     std::string name;   // PajeCreateContainer, ...
-    std::vector<FieldDef> fields;
+    std::size_t fieldCount = 0;
+    /** Token index of each field's first declaration; 0 if absent. */
+    std::array<std::size_t, std::size(kFieldNames)> at{};
 };
 
-/** Tokenize a data line: whitespace-separated, double-quoted strings. */
+/** Hash for looking up std::string keys by string_view. */
+struct StringHash
+{
+    using is_transparent = void;
+
+    std::size_t
+    operator()(std::string_view s) const noexcept
+    {
+        return std::hash<std::string_view>{}(s);
+    }
+};
+
+template <typename V>
+using StringMap = std::unordered_map<std::string, V, StringHash,
+                                     std::equal_to<>>;
+
+/**
+ * Tokenize a data line into views of it: whitespace-separated,
+ * double-quoted strings.
+ */
 bool
-tokenize(const std::string &line, std::vector<std::string> &out)
+tokenize(std::string_view line, std::vector<std::string_view> &out)
 {
     out.clear();
     std::size_t i = 0;
@@ -68,7 +102,7 @@ tokenize(const std::string &line, std::vector<std::string> &out)
             break;
         if (line[i] == '"') {
             std::size_t close = line.find('"', i + 1);
-            if (close == std::string::npos)
+            if (close == std::string_view::npos)
                 return false;  // unterminated quote
             out.push_back(line.substr(i + 1, close - i - 1));
             i = close + 1;
@@ -85,7 +119,7 @@ tokenize(const std::string &line, std::vector<std::string> &out)
 
 /** Infer our container kind from a Paje container-type name. */
 ContainerKind
-kindFromTypeName(const std::string &name)
+kindFromTypeName(std::string_view name)
 {
     std::string n = toLower(name);
     auto has = [&](const char *s) {
@@ -112,7 +146,7 @@ kindFromTypeName(const std::string &name)
 
 /** Infer a metric nature from a Paje variable-type name. */
 MetricNature
-natureFromName(const std::string &name)
+natureFromName(std::string_view name)
 {
     std::string n = toLower(name);
     if (n.find("used") != std::string::npos ||
@@ -155,35 +189,33 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
     PajeImport result;
     Trace &trace = result.trace;
 
-    std::unordered_map<std::string, EventDef> defs;  // by event id
-    std::unordered_map<std::string, ContainerKind> typeKind;
-    std::unordered_map<std::string, MetricId> metricByAlias;
-    std::unordered_map<std::string, ContainerId> containerByAlias;
+    StringMap<EventDef> defs;  // by event id
+    StringMap<ContainerKind> typeKind;
+    StringMap<MetricId> metricByAlias;
+    StringMap<ContainerId> containerByAlias;
     // (container, state-type) -> stack of open states
     std::map<std::pair<ContainerId, std::string>,
              std::vector<OpenState>>
         stateStack;
     // pending StartLink halves, by key
-    std::unordered_map<std::string, std::string> linkSource;
+    StringMap<std::string> linkSource;
     double last_time = 0.0;
 
-    auto resolveContainer =
-        [&](const std::string &ref) -> ContainerId {
+    auto resolveContainer = [&](std::string_view ref) -> ContainerId {
         auto it = containerByAlias.find(ref);
         if (it != containerByAlias.end())
             return it->second;
         // Also accept container names and the conventional root "0".
         if (ref == "0" || ref.empty())
             return trace.root();
-        ContainerId by_name = trace.findByName(ref);
-        return by_name;  // may be kNoContainer
+        return trace.findByName(std::string(ref));  // may be kNoContainer
     };
 
     std::string line;
     std::optional<EventDef> building;
     std::string building_id;
 
-    std::vector<std::string> tokens;
+    std::vector<std::string_view> tokens;
     while (std::getline(in, line)) {
         ++line_no;
         if (support::faultAt("paje.read.stream"))
@@ -194,7 +226,7 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
                         "line exceeds the parse budget (" +
                             std::to_string(budget.maxLineLength) +
                             " bytes)");
-        std::string stripped = trim(line);
+        std::string_view stripped = trim(line);
         if (stripped.empty() || stripped[0] == '#')
             continue;
 
@@ -207,7 +239,7 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
             if (parts[0] == "EventDef") {
                 if (parts.size() < 3)
                     return fail(Errc::Parse, "malformed %EventDef");
-                building = EventDef{parts[1], {}};
+                building = EventDef{parts[1]};
                 building_id = parts[2];
             } else if (parts[0] == "EndEventDef") {
                 if (!building)
@@ -217,7 +249,10 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
             } else if (building) {
                 if (parts.size() < 2)
                     return fail(Errc::Parse, "malformed field definition");
-                building->fields.push_back({parts[0], parts[1]});
+                std::size_t token = ++building->fieldCount;
+                for (std::size_t f = 0; f < std::size(kFieldNames); ++f)
+                    if (kFieldNames[f] == parts[0] && !building->at[f])
+                        building->at[f] = token;
             }
             continue;
         }
@@ -229,22 +264,21 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
             continue;
         auto def_it = defs.find(tokens[0]);
         if (def_it == defs.end())
-            return fail(Errc::Parse, "unknown event id '" + tokens[0] + "'");
+            return fail(Errc::Parse, "unknown event id '" +
+                                         std::string(tokens[0]) + "'");
         const EventDef &def = def_it->second;
-        if (tokens.size() - 1 < def.fields.size())
+        if (tokens.size() - 1 < def.fieldCount)
             return fail(Errc::Parse, "too few fields for " + def.name);
 
-        // Field lookup by name.
-        auto field = [&](const char *name) -> const std::string * {
-            for (std::size_t f = 0; f < def.fields.size(); ++f)
-                if (def.fields[f].name == name)
-                    return &tokens[f + 1];
-            return nullptr;
+        auto field = [&](Field f) -> const std::string_view * {
+            std::size_t at = def.at[std::size_t(f)];
+            return at ? &tokens[at] : nullptr;
         };
-        auto numField = [&](const char *name, double &v) {
-            const std::string *s = field(name);
-            // Reject inf/nan: strtod accepts them, but a non-finite
-            // time or value would poison downstream aggregation.
+        auto numField = [&](Field f, double &v) {
+            const std::string_view *s = field(f);
+            // Reject inf/nan: strtod's grammar accepts them, but a
+            // non-finite time or value would poison downstream
+            // aggregation.
             return s && parseDouble(*s, v) && std::isfinite(v);
         };
 
@@ -253,28 +287,28 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
                         "event count exceeds the parse budget");
 
         double time = 0.0;
-        if (numField("Time", time))
+        if (numField(Field::Time, time))
             last_time = std::max(last_time, time);
 
         if (def.name == "PajeDefineContainerType") {
-            const std::string *alias = field("Alias");
-            const std::string *name = field("Name");
+            const std::string_view *alias = field(Field::Alias);
+            const std::string_view *name = field(Field::Name);
             if (!alias || !name)
                 return fail(Errc::Parse, def.name + " needs Alias/Name");
-            typeKind[*alias] = kindFromTypeName(*name);
+            typeKind[std::string(*alias)] = kindFromTypeName(*name);
             // Names can also be used as type references.
             typeKind.emplace(*name, kindFromTypeName(*name));
         } else if (def.name == "PajeDefineVariableType") {
-            const std::string *alias = field("Alias");
-            const std::string *name = field("Name");
+            const std::string_view *alias = field(Field::Alias);
+            const std::string_view *name = field(Field::Name);
             if (!alias || !name)
                 return fail(Errc::Parse, def.name + " needs Alias/Name");
             if (trace.metricCount() >= budget.maxMetrics)
                 return fail(Errc::Budget,
                             "metric count exceeds the parse budget");
-            MetricId m =
-                trace.addMetric(*name, "", natureFromName(*name));
-            metricByAlias[*alias] = m;
+            MetricId m = trace.addMetric(std::string(*name), "",
+                                         natureFromName(*name));
+            metricByAlias[std::string(*alias)] = m;
             metricByAlias.emplace(*name, m);
         } else if (def.name == "PajeDefineStateType" ||
                    def.name == "PajeDefineEntityValue" ||
@@ -282,19 +316,20 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
                    def.name == "PajeDefineLinkType") {
             // State/link types carry no data we must keep.
         } else if (def.name == "PajeCreateContainer") {
-            const std::string *alias = field("Alias");
-            const std::string *type = field("Type");
-            const std::string *parent = field("Container");
-            const std::string *name = field("Name");
-            if (!alias || !name || !parent)
+            const std::string_view *alias = field(Field::Alias);
+            const std::string_view *type = field(Field::Type);
+            const std::string_view *parent = field(Field::Container);
+            const std::string_view *name_field = field(Field::Name);
+            if (!alias || !name_field || !parent)
                 return fail(Errc::Parse, def.name + " needs fields");
+            const std::string name(*name_field);
             // Guard Trace::addContainer()'s preconditions: corrupt
             // input must yield an Error, not an assertion failure.
-            if (name->empty())
+            if (name.empty())
                 return fail(Errc::Parse, "empty container name");
-            if (name->find('/') != std::string::npos)
+            if (name.find('/') != std::string::npos)
                 return fail(Errc::Parse,
-                            "container name '" + *name +
+                            "container name '" + name +
                                 "' must not contain '/'");
             if (trace.containerCount() >= budget.maxContainers)
                 return fail(Errc::Budget,
@@ -302,8 +337,8 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
             ContainerId parent_id = resolveContainer(*parent);
             if (parent_id == kNoContainer) {
                 result.warnings.push_back(
-                    "unknown parent '" + *parent + "', attaching '" +
-                    *name + "' to root");
+                    "unknown parent '" + std::string(*parent) +
+                    "', attaching '" + name + "' to root");
                 parent_id = trace.root();
             }
             ContainerKind kind = ContainerKind::Custom;
@@ -312,31 +347,32 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
                 if (k != typeKind.end())
                     kind = k->second;
             }
-            if (trace.findChild(parent_id, *name) != kNoContainer)
+            if (trace.findChild(parent_id, name) != kNoContainer)
                 return fail(Errc::Parse,
-                            "duplicate container '" + *name + "'");
-            ContainerId id = trace.addContainer(*name, kind, parent_id);
-            containerByAlias[*alias] = id;
+                            "duplicate container '" + name + "'");
+            ContainerId id = trace.addContainer(name, kind, parent_id);
+            containerByAlias[std::string(*alias)] = id;
         } else if (def.name == "PajeDestroyContainer") {
             // Destruction only ends observation; nothing to remove.
         } else if (def.name == "PajeSetVariable" ||
                    def.name == "PajeAddVariable" ||
                    def.name == "PajeSubVariable") {
-            const std::string *type = field("Type");
-            const std::string *container = field("Container");
+            const std::string_view *type = field(Field::Type);
+            const std::string_view *container = field(Field::Container);
             double value = 0.0;
-            if (!type || !container || !numField("Value", value))
+            if (!type || !container || !numField(Field::Value, value))
                 return fail(Errc::Parse, def.name + " needs fields");
             ContainerId c = resolveContainer(*container);
             if (c == kNoContainer) {
                 result.warnings.push_back("variable on unknown '" +
-                                          *container + "' skipped");
+                                          std::string(*container) +
+                                          "' skipped");
                 continue;
             }
             auto m = metricByAlias.find(*type);
             if (m == metricByAlias.end()) {
                 result.warnings.push_back("unknown variable type '" +
-                                          *type + "' skipped");
+                                          std::string(*type) + "' skipped");
                 continue;
             }
             Variable &var = trace.variable(c, m->second);
@@ -348,42 +384,43 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
                 var.add(time, -value);
         } else if (def.name == "PajeSetState" ||
                    def.name == "PajePushState") {
-            const std::string *type = field("Type");
-            const std::string *container = field("Container");
-            const std::string *value = field("Value");
+            const std::string_view *type = field(Field::Type);
+            const std::string_view *container = field(Field::Container);
+            const std::string_view *value = field(Field::Value);
             if (!type || !container || !value)
                 return fail(Errc::Parse, def.name + " needs fields");
             ContainerId c = resolveContainer(*container);
             if (c == kNoContainer) {
                 result.warnings.push_back("state on unknown '" +
-                                          *container + "' skipped");
+                                          std::string(*container) +
+                                          "' skipped");
                 continue;
             }
-            auto &stack = stateStack[{c, *type}];
+            auto &stack = stateStack[{c, std::string(*type)}];
             if (def.name == "PajeSetState") {
                 // Close whatever is open, then open the new state.
                 for (OpenState &open : stack)
                     if (time > open.begin)
                         trace.addState(c, open.begin, time, open.value);
                 stack.clear();
-                stack.push_back({time, *value});
+                stack.push_back({time, std::string(*value)});
             } else {
                 // Pause the current top, open the pushed state.
                 if (!stack.empty() && time > stack.back().begin) {
                     trace.addState(c, stack.back().begin, time,
                                    stack.back().value);
                 }
-                stack.push_back({time, *value});
+                stack.push_back({time, std::string(*value)});
             }
         } else if (def.name == "PajePopState") {
-            const std::string *type = field("Type");
-            const std::string *container = field("Container");
+            const std::string_view *type = field(Field::Type);
+            const std::string_view *container = field(Field::Container);
             if (!type || !container)
                 return fail(Errc::Parse, def.name + " needs fields");
             ContainerId c = resolveContainer(*container);
             if (c == kNoContainer)
                 continue;
-            auto &stack = stateStack[{c, *type}];
+            auto &stack = stateStack[{c, std::string(*type)}];
             if (stack.empty()) {
                 result.warnings.push_back(
                     "PopState with empty stack ignored");
@@ -396,24 +433,24 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
             if (!stack.empty())
                 stack.back().begin = time;  // the paused state resumes
         } else if (def.name == "PajeStartLink") {
-            const std::string *key = field("Key");
-            const std::string *src = field("StartContainer");
+            const std::string_view *key = field(Field::Key);
+            const std::string_view *src = field(Field::StartContainer);
             if (!src)
-                src = field("SourceContainer");
+                src = field(Field::SourceContainer);
             if (!key || !src)
                 return fail(Errc::Parse, def.name + " needs fields");
-            linkSource[*key] = *src;
+            linkSource[std::string(*key)] = *src;
         } else if (def.name == "PajeEndLink") {
-            const std::string *key = field("Key");
-            const std::string *dst = field("EndContainer");
+            const std::string_view *key = field(Field::Key);
+            const std::string_view *dst = field(Field::EndContainer);
             if (!dst)
-                dst = field("DestContainer");
+                dst = field(Field::DestContainer);
             if (!key || !dst)
                 return fail(Errc::Parse, def.name + " needs fields");
             auto src = linkSource.find(*key);
             if (src == linkSource.end()) {
                 result.warnings.push_back("EndLink without StartLink ('" +
-                                          *key + "')");
+                                          std::string(*key) + "')");
                 continue;
             }
             ContainerId a = resolveContainer(src->second);
@@ -465,27 +502,16 @@ readPajeTraceFile(const std::string &path, const ParseBudget &budget)
     return result;
 }
 
-namespace
-{
-
-/** Quote a Paje string field. */
-std::string
-quoted(const std::string &s)
-{
-    return '"' + s + '"';
-}
-
-} // namespace
-
 void
 writePajeTrace(const Trace &trace, std::ostream &out)
 {
     obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId phase = reg.histogram("paje.write");
     obs::ScopedPhase timer(phase);
+    support::BlockWriter w(out);
 
     // --- the canonical header -----------------------------------------------
-    out << "%EventDef PajeDefineContainerType 0\n"
+    w << "%EventDef PajeDefineContainerType 0\n"
            "%  Alias string\n%  Type string\n%  Name string\n"
            "%EndEventDef\n"
            "%EventDef PajeDefineVariableType 1\n"
@@ -527,23 +553,24 @@ writePajeTrace(const Trace &trace, std::ostream &out)
         if (!kind_present[k])
             continue;
         const char *name = containerKindName(ContainerKind(k));
-        out << "0 " << name << " 0 " << quoted(name) << '\n';
+        w << "0 " << name << " 0 \"" << name << "\"\n";
     }
     for (MetricId m{0}; m.index() < trace.metricCount(); ++m) {
-        out << "1 v" << m << " 0 " << quoted(trace.metric(m).name)
-            << '\n';
+        w << "1 v" << m.index() << " 0 \"" << trace.metric(m).name
+          << "\"\n";
     }
-    out << "2 S 0 " << quoted("state") << '\n';
+    w << "2 S 0 \"state\"\n";
 
     // --- containers -------------------------------------------------------------
     for (ContainerId id{1}; id.index() < trace.containerCount(); ++id) {
         const Container &c = trace.container(id);
-        out << "3 0 c" << id << ' ' << containerKindName(c.kind) << ' ';
+        w << "3 0 c" << id.index() << ' ' << containerKindName(c.kind)
+          << ' ';
         if (c.parent == trace.root())
-            out << '0';
+            w << '0';
         else
-            out << 'c' << c.parent;
-        out << ' ' << quoted(c.name) << '\n';
+            w << 'c' << c.parent.index();
+        w << " \"" << c.name << "\"\n";
     }
 
     // --- variables --------------------------------------------------------------
@@ -553,8 +580,8 @@ writePajeTrace(const Trace &trace, std::ostream &out)
             if (!var)
                 continue;
             for (const Variable::Point &p : var->changePoints()) {
-                out << "4 " << formatDouble(p.time) << " v" << m << " c"
-                    << c << ' ' << formatDouble(p.value) << '\n';
+                w << "4 " << p.time << " v" << m.index() << " c"
+                  << c.index() << ' ' << p.value << '\n';
             }
         }
     }
@@ -586,21 +613,18 @@ writePajeTrace(const Trace &trace, std::ostream &out)
               });
     for (const StateEvent &e : events) {
         if (e.kind == 1) {
-            out << "5 " << formatDouble(e.time) << " S c" << e.container
-                << ' ' << quoted(*e.value) << '\n';
+            w << "5 " << e.time << " S c" << e.container.index() << " \""
+              << *e.value << "\"\n";
         } else {
-            out << "6 " << formatDouble(e.time) << " S c" << e.container
-                << '\n';
+            w << "6 " << e.time << " S c" << e.container.index() << '\n';
         }
     }
 
     // --- relations as zero-duration links ---------------------------------------
     std::size_t key = 0;
     for (const Trace::Relation &r : trace.relations()) {
-        out << "7 0 L 0 " << quoted("rel") << " c" << r.a << " k" << key
-            << '\n';
-        out << "8 0 L 0 " << quoted("rel") << " c" << r.b << " k" << key
-            << '\n';
+        w << "7 0 L 0 \"rel\" c" << r.a.index() << " k" << key << '\n';
+        w << "8 0 L 0 \"rel\" c" << r.b.index() << " k" << key << '\n';
         ++key;
     }
 }

@@ -15,9 +15,9 @@ namespace viva::viz
 std::string
 Color::hex() const
 {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", r, g, b);
-    return buf;
+    static constexpr char digits[] = "0123456789abcdef";
+    return {'#', digits[r >> 4], digits[r & 15], digits[g >> 4],
+            digits[g & 15], digits[b >> 4], digits[b & 15]};
 }
 
 namespace palette

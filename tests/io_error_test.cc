@@ -207,6 +207,10 @@ TEST(ReadTraceErrors, NonFinitePointFields)
                 "non-finite point fields");
     expectParse(rejectTrace(doc("p 1 0 0 nan\n")),
                 "non-finite point fields");
+    // Out of range parses (as strtod does) to inf, so it is rejected as
+    // non-finite, not as unparseable.
+    expectParse(rejectTrace(doc("p 1 0 1e400 1\n")),
+                "non-finite point fields");
 }
 
 TEST(ReadTraceErrors, PointReferencesUnknownIds)
@@ -348,6 +352,35 @@ TEST(ReadPajeErrors, EmptyContainerName)
     expectParse(rejectPaje(std::string(kPajePrefix) +
                            "1 0.0 c1 T 0 \"\"\n"),
                 "empty container name");
+}
+
+TEST(ReadPajeErrors, NonFiniteVariableValue)
+{
+    // The Paje point record: a value out of range parses to inf and is
+    // refused like an unparseable one.
+    const std::string prefix =
+        std::string(kPajePrefix) +
+        "%EventDef PajeDefineVariableType 2\n"
+        "% Alias string\n"
+        "% Type string\n"
+        "% Name string\n"
+        "%EndEventDef\n"
+        "%EventDef PajeSetVariable 4\n"
+        "% Time date\n"
+        "% Type string\n"
+        "% Container string\n"
+        "% Value double\n"
+        "%EndEventDef\n"
+        "2 v0 0 \"power\"\n"
+        "1 0 c1 host 0 \"h\"\n";
+    expectParse(rejectPaje(prefix + "4 1 v0 c1 1e400\n"),
+                "PajeSetVariable needs fields");
+    expectParse(rejectPaje(prefix + "4 1 v0 c1 -1e400\n"),
+                "PajeSetVariable needs fields");
+    std::istringstream in(prefix + "4 1 v0 c1 1e-400\n");
+    auto accepted = vt::readPajeTrace(in);
+    ASSERT_TRUE(accepted.ok()) << accepted.error().toString();
+    EXPECT_EQ(accepted.value().eventCount, 3u);
 }
 
 TEST(ReadPajeErrors, MissingPajeFileYieldsIoError)

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "support/interval.hh"
 #include "support/logging.hh"
@@ -87,6 +94,69 @@ TEST(Strings, ParseDouble)
     EXPECT_FALSE(vs::parseDouble("12x", v));
     EXPECT_FALSE(vs::parseDouble("", v));
     EXPECT_FALSE(vs::parseDouble("abc", v));
+
+    // The grammar is strtod's over the whole field.
+    EXPECT_TRUE(vs::parseDouble("+1.5", v));
+    EXPECT_EQ(v, 1.5);
+    EXPECT_TRUE(vs::parseDouble("0x1p3", v));
+    EXPECT_EQ(v, 8.0);
+    EXPECT_TRUE(vs::parseDouble(" \t2.5\r\n", v));
+    EXPECT_EQ(v, 2.5);
+    EXPECT_TRUE(vs::parseDouble(".5", v));
+    EXPECT_EQ(v, 0.5);
+    EXPECT_TRUE(vs::parseDouble("1.", v));
+    EXPECT_EQ(v, 1.0);
+    EXPECT_TRUE(vs::parseDouble("-0", v));
+    EXPECT_EQ(v, 0.0);
+    EXPECT_TRUE(std::signbit(v));
+    EXPECT_TRUE(vs::parseDouble("1e400", v));
+    EXPECT_TRUE(std::isinf(v) && v > 0);
+    EXPECT_TRUE(vs::parseDouble("1e-400", v));
+    EXPECT_EQ(v, 0.0);
+    EXPECT_FALSE(std::signbit(v));
+    v = 7.0;
+    EXPECT_FALSE(vs::parseDouble("1e", v));
+    EXPECT_FALSE(vs::parseDouble("+-1", v));
+    EXPECT_FALSE(vs::parseDouble("0x", v));
+    EXPECT_EQ(v, 7.0);  // a rejected field leaves the output alone
+}
+
+TEST(Strings, ParseDoubleMatchesStrtod)
+{
+    // Seeded random fields built from number fragments, against strtod
+    // on the trimmed field as the reference grammar. NaNs compare by
+    // sign only: their payload is not part of the contract.
+    static const char *const pieces[] = {
+        "0", "1", "7", "9", ".", "e", "E", "+", "-", "x", "X", "p", "P",
+        "a", "F", " ", "\t", "inf", "nan", "infinity", "(", ")", "0x",
+        "e400", "e-400", "e308", "e-324", "999999999999999999", "g"};
+    constexpr std::size_t n_pieces = sizeof(pieces) / sizeof(pieces[0]);
+    vs::Rng rng(17);
+    std::size_t accepted = 0;
+    for (int i = 0; i < 100000; ++i) {
+        std::string field;
+        for (std::size_t k = 0, len = 1 + rng.index(6); k < len; ++k)
+            field += pieces[rng.index(n_pieces)];
+        std::string trimmed(vs::trim(field));
+        char *end = nullptr;
+        double want = std::strtod(trimmed.c_str(), &end);
+        bool want_ok =
+            !trimmed.empty() && end == trimmed.c_str() + trimmed.size();
+        double got = 0.0;
+        ASSERT_EQ(vs::parseDouble(field, got), want_ok) << field;
+        if (!want_ok)
+            continue;
+        ++accepted;
+        if (std::isnan(want))
+            EXPECT_TRUE(std::isnan(got) &&
+                        std::signbit(got) == std::signbit(want))
+                << field;
+        else
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << field;
+    }
+    EXPECT_GT(accepted, 1000u);
 }
 
 TEST(Strings, ParseSize)
@@ -101,10 +171,25 @@ TEST(Strings, ParseSize)
 
 TEST(Strings, FormatDoubleRoundTrips)
 {
-    for (double x : {0.0, 1.5, -2.25, 1e-9, 123456789.0, 3.14159265358979}) {
+    // Bitwise: EXPECT_DOUBLE_EQ allows 4 ULP and would pass a lossy
+    // formatter.
+    std::vector<double> values = {
+        0.0, -0.0, 1.5, -2.25, 1e-9, 123456789.0, 3.14159265358979,
+        0.1, 1.0 / 3.0, DBL_MIN, DBL_TRUE_MIN, DBL_MAX, -DBL_MAX,
+        std::numeric_limits<double>::infinity()};
+    vs::Rng rng(2013);
+    while (values.size() < 20000) {
+        double x = std::bit_cast<double>(std::uint64_t(rng.raw()()));
+        if (!std::isnan(x))
+            values.push_back(x);
+    }
+    for (double x : values) {
         double back = 0;
-        ASSERT_TRUE(vs::parseDouble(vs::formatDouble(x), back));
-        EXPECT_DOUBLE_EQ(back, x);
+        std::string text = vs::formatDouble(x);
+        ASSERT_TRUE(vs::parseDouble(text, back)) << text;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+                  std::bit_cast<std::uint64_t>(x))
+            << text;
     }
 }
 

@@ -6,9 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "agg/aggregate.hh"
+#include "support/fault.hh"
+#include "support/obs.hh"
+#include "support/strings.hh"
 #include "trace/builder.hh"
 #include "viz/ascii.hh"
 #include "viz/mapping.hh"
@@ -17,6 +25,7 @@
 #include "viz/svg.hh"
 
 namespace va = viva::agg;
+namespace vs = viva::support;
 namespace vt = viva::trace;
 namespace vv = viva::viz;
 
@@ -316,6 +325,99 @@ TEST(Svg, EscapesXmlSpecials)
     std::string svg = out.str();
     EXPECT_NE(svg.find("a&lt;b&amp;c&gt;"), std::string::npos);
     EXPECT_EQ(svg.find("a<b"), std::string::npos);
+}
+
+namespace
+{
+
+/** A scene whose SVG spans several 64 KiB flush blocks. */
+vv::Scene
+largeScene()
+{
+    vv::Scene scene;
+    scene.width = 800;
+    scene.height = 600;
+    for (std::size_t i = 0; i < 3000; ++i) {
+        vv::SceneNode n;
+        n.label = "node" + std::to_string(i);
+        n.aggregated = i % 2 == 0;
+        n.x = 1.0 / 3.0 + double(i);
+        n.y = 0.1 * double(i);
+        n.shape = vv::ShapeKind(i % 3);
+        n.sizePx = 4.0 + double(i % 7);
+        n.fill = double(i % 10) / 10.0;
+        n.color = vv::palette::categorical(i);
+        if (i % 5 == 0)
+            n.segments = {{0.25, vv::palette::categorical(1), "a"},
+                          {0.5, vv::palette::categorical(2), "b"}};
+        n.heterogeneity = i % 4 == 0 ? 0.9 : 0.0;
+        scene.nodes.push_back(n);
+        if (i > 0)
+            scene.edges.push_back({i - 1, i, 1, 1.5});
+    }
+    return scene;
+}
+
+std::string
+svgTempPath(const char *name)
+{
+    return (std::filesystem::temp_directory_path() / name).string();
+}
+
+} // namespace
+
+TEST(Svg, FileAndStreamOutputAreIdentical)
+{
+    vv::Scene scene = largeScene();
+    vv::SvgOptions options;
+    options.title = std::string(100000, 'T');  // longer than one block
+
+    std::ostringstream out;
+    vv::writeSvg(scene, out, options);
+    const std::string svg = out.str();
+    ASSERT_GT(svg.size(), std::size_t(4) << 16);
+    EXPECT_EQ(svg.rfind("<svg", 0), 0u);
+    EXPECT_EQ(svg.substr(svg.size() - 7), "</svg>\n");
+
+    const std::string path = svgTempPath("viva_svg_identical.svg");
+    ASSERT_TRUE(vv::writeSvgFile(scene, path, options).ok());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream file;
+    file << in.rdbuf();
+    EXPECT_EQ(file.str(), svg);
+    std::filesystem::remove(path);
+
+    // Coordinates read back bitwise.
+    const std::string key = "<circle cx=\"";
+    std::size_t at = svg.find(key);
+    ASSERT_NE(at, std::string::npos);
+    at += key.size();
+    double x = 0.0;
+    ASSERT_TRUE(vs::parseDouble(svg.substr(at, svg.find('"', at) - at), x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x),
+              std::bit_cast<std::uint64_t>(1.0 / 3.0));
+}
+
+TEST(Svg, WriteFailuresAreIoErrors)
+{
+    vv::Scene scene = largeScene();
+    vs::obs::Registry &reg = vs::obs::Registry::global();
+    const vs::obs::CounterId errors = reg.counter("viz.write.errors");
+    const std::uint64_t before = reg.counterValue(errors);
+
+    auto unopenable = vv::writeSvgFile(scene, "/no/such/dir/out.svg");
+    ASSERT_FALSE(unopenable.ok());
+    EXPECT_EQ(unopenable.error().code(), vs::Errc::Io);
+    EXPECT_EQ(reg.counterValue(errors), before + 1);
+
+    const std::string path = svgTempPath("viva_svg_fault.svg");
+    vs::FaultInjector::global().arm("viz.write.stream");
+    auto injected = vv::writeSvgFile(scene, path);
+    vs::FaultInjector::global().disarmAll();
+    ASSERT_FALSE(injected.ok());
+    EXPECT_EQ(injected.error().code(), vs::Errc::Io);
+    EXPECT_EQ(reg.counterValue(errors), before + 2);
+    std::filesystem::remove(path);
 }
 
 // --- ascii -------------------------------------------------------------------------
