@@ -6,6 +6,7 @@
 #include "app/commands.hh"
 
 #include <istream>
+#include <optional>
 #include <ostream>
 
 #include "support/obs.hh"
@@ -291,8 +292,13 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         double x, y;
         if (!need(3) || !num(2, x) || !num(3, y))
             return false;
-        if (!sess.moveNode(args[1], x, y)) {
-            out << "error: '" << args[1] << "' is not a visible node\n";
+        std::optional<support::Error> aborted;
+        if (!sess.moveNode(args[1], x, y, &aborted)) {
+            if (aborted)
+                out << "error: " << aborted->toString() << "\n";
+            else
+                out << "error: '" << args[1]
+                    << "' is not a visible node\n";
             return false;
         }
         out << "moved " << args[1] << " to (" << x << ", " << y << ")\n";

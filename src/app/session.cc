@@ -427,13 +427,25 @@ Session::nodeOf(const std::string &path) const
 }
 
 bool
-Session::moveNode(const std::string &path, double x, double y)
+Session::moveNode(const std::string &path, double x, double y,
+                  std::optional<support::Error> *aborted)
 {
     layout::NodeId n = nodeOf(path);
     if (n == layout::kNoNode)
         return false;
+    // Atomic like stabilizeLayout: an abort puts back the drag too.
+    support::OperationScope scope(opDeadlineNanos);
+    const layout::ForceLayout::State entry = force.state();
     force.dragNode(n, {x, y});
-    force.stabilize(40).value();
+    support::Expected<std::size_t> done = force.stabilize(40);
+    if (!done) {
+        force.rewind(entry);
+        ++deadlineAborts;
+        if (aborted)
+            *aborted = VIVA_ERROR_CONTEXT(done.error(),
+                                          "Session::moveNode");
+        return false;
+    }
     force.releaseNode(n);
     maybeAudit("Session::moveNode");
     return true;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "agg/aggregate.hh"
@@ -171,10 +172,16 @@ class Session
 
     /**
      * Drag the named node to a position; its neighbours follow through
-     * the springs while it is held, then it is released.
-     * @retval false when the container is not a visible node
+     * the springs while it is held, then it is released. The drag runs
+     * under the operation deadline with stabilizeLayout's semantics: an
+     * abort puts back the drag and every iteration bitwise.
+     * @param aborted when given, receives the Errc::Deadline error of
+     *        an abort
+     * @retval false when the container is not a visible node, or the
+     *         deadline aborted the drag
      */
-    bool moveNode(const std::string &path, double x, double y);
+    bool moveNode(const std::string &path, double x, double y,
+                  std::optional<support::Error> *aborted = nullptr);
 
     /** Pin a visible node in place (true) or release it (false). */
     bool pinNode(const std::string &path, bool pinned);

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "support/fault.hh"
 #include "support/governor.hh"
@@ -95,13 +96,18 @@ ForceLayout::step(double timestep_scale)
             bodies.push_back({n.position, n.charge});
         tree.build({lo.x - pad, lo.y - pad}, {hi.x + pad, hi.y + pad},
                    bodies);
+        // Query in the tree's Morton order: consecutive queries are
+        // near each other and walk mostly the same cells. Each node's
+        // field is still computed alone and written to its own slot.
+        const std::span<const std::uint32_t> order = tree.bodyOrder();
         pool.parallelFor(
             0, nodes.size(), grain, threads,
             [&](std::size_t clo, std::size_t chi) {
                 obs::ScopedPhase chunk_timer(chunk_phase);
                 if (expired())
                     return;
-                for (std::size_t i = clo; i < chi; ++i) {
+                for (std::size_t k = clo; k < chi; ++k) {
+                    const std::size_t i = order[k];
                     const Node &n = nodes[i];
                     // forceAt excludes the coincident self charge; the
                     // result is the field, scale by this node's own

@@ -60,25 +60,6 @@ trim(std::string_view text)
     return text.substr(b, e - b);
 }
 
-std::string
-join(const std::vector<std::string> &pieces, std::string_view sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-        if (i)
-            out += sep;
-        out += pieces[i];
-    }
-    return out;
-}
-
-bool
-startsWith(std::string_view text, std::string_view prefix)
-{
-    return text.size() >= prefix.size() &&
-           text.substr(0, prefix.size()) == prefix;
-}
-
 bool
 endsWith(std::string_view text, std::string_view suffix)
 {

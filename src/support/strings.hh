@@ -26,13 +26,6 @@ std::vector<std::string> splitWhitespace(std::string_view text);
 /** The text without leading and trailing whitespace (a view into it). */
 std::string_view trim(std::string_view text);
 
-/** Join pieces with a separator. */
-std::string join(const std::vector<std::string> &pieces,
-                 std::string_view sep);
-
-/** True if text begins with prefix. */
-bool startsWith(std::string_view text, std::string_view prefix);
-
 /** True if text ends with suffix. */
 bool endsWith(std::string_view text, std::string_view suffix);
 

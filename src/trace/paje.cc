@@ -286,9 +286,13 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
             return fail(Errc::Budget,
                         "event count exceeds the parse budget");
 
+        // An event without a Time field happens at t = 0.
         double time = 0.0;
-        if (numField(Field::Time, time))
-            last_time = std::max(last_time, time);
+        if (const std::string_view *t = field(Field::Time);
+            t && !numField(Field::Time, time))
+            return fail(Errc::Parse, def.name + " has a bad Time '" +
+                                         std::string(*t) + "'");
+        last_time = std::max(last_time, time);
 
         if (def.name == "PajeDefineContainerType") {
             const std::string_view *alias = field(Field::Alias);

@@ -18,7 +18,7 @@
 namespace viva::viz
 {
 
-using support::formatDouble;
+using support::BlockWriter;
 using support::humanize;
 using support::xmlEscape;
 
@@ -75,84 +75,73 @@ writeChartSvg(const std::vector<ChartSeries> &series, std::ostream &out,
     };
     auto y_of = [&](double v) { return mt + ph - v / y_hi * ph; };
 
-    out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
-        << formatDouble(options.width) << "\" height=\""
-        << formatDouble(options.height) << "\" viewBox=\"0 0 "
-        << formatDouble(options.width) << ' '
-        << formatDouble(options.height) << "\">\n";
-    out << "  <rect width=\"100%\" height=\"100%\" fill=\""
-        << palette::background.hex() << "\"/>\n";
+    BlockWriter w(out);
+    w << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
+      << options.width << "\" height=\"" << options.height
+      << "\" viewBox=\"0 0 " << options.width << ' ' << options.height
+      << "\">\n";
+    w << "  <rect width=\"100%\" height=\"100%\" fill=\""
+      << palette::background.hex() << "\"/>\n";
     if (!options.title.empty()) {
-        out << "  <text x=\"" << formatDouble(ml)
-            << "\" y=\"22\" font-family=\"sans-serif\" font-size=\"14\" "
-               "fill=\"#111\">"
-            << xmlEscape(options.title) << "</text>\n";
+        w << "  <text x=\"" << ml
+          << "\" y=\"22\" font-family=\"sans-serif\" font-size=\"14\" "
+             "fill=\"#111\">"
+          << xmlEscape(options.title) << "</text>\n";
     }
 
     // Axes and grid.
-    out << "  <line x1=\"" << formatDouble(ml) << "\" y1=\""
-        << formatDouble(mt) << "\" x2=\"" << formatDouble(ml)
-        << "\" y2=\"" << formatDouble(mt + ph)
-        << "\" stroke=\"#333\"/>\n";
-    out << "  <line x1=\"" << formatDouble(ml) << "\" y1=\""
-        << formatDouble(mt + ph) << "\" x2=\"" << formatDouble(ml + pw)
-        << "\" y2=\"" << formatDouble(mt + ph)
-        << "\" stroke=\"#333\"/>\n";
+    w << "  <line x1=\"" << ml << "\" y1=\"" << mt << "\" x2=\"" << ml
+      << "\" y2=\"" << (mt + ph) << "\" stroke=\"#333\"/>\n";
+    w << "  <line x1=\"" << ml << "\" y1=\"" << (mt + ph) << "\" x2=\""
+      << (ml + pw) << "\" y2=\"" << (mt + ph) << "\" stroke=\"#333\"/>\n";
     for (int tick = 0; tick <= 4; ++tick) {
         double v = y_hi * tick / 4.0;
         double y = y_of(v);
-        out << "  <line x1=\"" << formatDouble(ml) << "\" y1=\""
-            << formatDouble(y) << "\" x2=\"" << formatDouble(ml + pw)
-            << "\" y2=\"" << formatDouble(y)
-            << "\" stroke=\"#ddd\" stroke-width=\"0.6\"/>\n";
-        out << "  <text x=\"" << formatDouble(ml - 6) << "\" y=\""
-            << formatDouble(y + 3)
-            << "\" font-family=\"sans-serif\" font-size=\"9\" "
-               "text-anchor=\"end\" fill=\"#333\">"
-            << humanize(v) << "</text>\n";
+        w << "  <line x1=\"" << ml << "\" y1=\"" << y << "\" x2=\""
+          << (ml + pw) << "\" y2=\"" << y
+          << "\" stroke=\"#ddd\" stroke-width=\"0.6\"/>\n";
+        w << "  <text x=\"" << (ml - 6) << "\" y=\"" << (y + 3)
+          << "\" font-family=\"sans-serif\" font-size=\"9\" "
+             "text-anchor=\"end\" fill=\"#333\">"
+          << humanize(v) << "</text>\n";
         double t = x_lo + (x_hi - x_lo) * tick / 4.0;
-        out << "  <text x=\"" << formatDouble(x_of(t)) << "\" y=\""
-            << formatDouble(mt + ph + 14)
-            << "\" font-family=\"sans-serif\" font-size=\"9\" "
-               "text-anchor=\"middle\" fill=\"#333\">"
-            << formatDouble(std::round(t * 100.0) / 100.0)
-            << "</text>\n";
+        w << "  <text x=\"" << x_of(t) << "\" y=\"" << (mt + ph + 14)
+          << "\" font-family=\"sans-serif\" font-size=\"9\" "
+             "text-anchor=\"middle\" fill=\"#333\">"
+          << std::round(t * 100.0) / 100.0 << "</text>\n";
     }
     if (!options.yLabel.empty()) {
-        out << "  <text x=\"12\" y=\"" << formatDouble(mt - 4)
-            << "\" font-family=\"sans-serif\" font-size=\"9\" "
-               "fill=\"#333\">"
-            << xmlEscape(options.yLabel) << "</text>\n";
+        w << "  <text x=\"12\" y=\"" << (mt - 4)
+          << "\" font-family=\"sans-serif\" font-size=\"9\" "
+             "fill=\"#333\">"
+          << xmlEscape(options.yLabel) << "</text>\n";
     }
 
     // Series polylines.
     for (const ChartSeries &s : series) {
         if (s.points.empty())
             continue;
-        out << "  <polyline fill=\"none\" stroke=\"" << s.color.hex()
-            << "\" stroke-width=\"1.6\" points=\"";
+        w << "  <polyline fill=\"none\" stroke=\"" << s.color.hex()
+          << "\" stroke-width=\"1.6\" points=\"";
         for (const auto &[t, v] : s.points)
-            out << formatDouble(x_of(t)) << ',' << formatDouble(y_of(v))
-                << ' ';
-        out << "\"/>\n";
+            w << x_of(t) << ',' << y_of(v) << ' ';
+        w << "\"/>\n";
     }
 
     // Legend.
     double ly = mt + 8;
     for (const ChartSeries &s : series) {
-        out << "  <rect x=\"" << formatDouble(ml + pw - 160) << "\" y=\""
-            << formatDouble(ly - 8)
-            << "\" width=\"10\" height=\"10\" fill=\"" << s.color.hex()
-            << "\"/>\n";
-        out << "  <text x=\"" << formatDouble(ml + pw - 146) << "\" y=\""
-            << formatDouble(ly + 1)
-            << "\" font-family=\"sans-serif\" font-size=\"10\" "
-               "fill=\"#333\">"
-            << xmlEscape(s.label) << "</text>\n";
+        w << "  <rect x=\"" << (ml + pw - 160) << "\" y=\"" << (ly - 8)
+          << "\" width=\"10\" height=\"10\" fill=\"" << s.color.hex()
+          << "\"/>\n";
+        w << "  <text x=\"" << (ml + pw - 146) << "\" y=\"" << (ly + 1)
+          << "\" font-family=\"sans-serif\" font-size=\"10\" "
+             "fill=\"#333\">"
+          << xmlEscape(s.label) << "</text>\n";
         ly += 14;
     }
 
-    out << "</svg>\n";
+    w << "</svg>\n";
 }
 
 support::Expected<void>

@@ -20,7 +20,7 @@ namespace viva::viz
 
 namespace obs = support::obs;
 
-using support::formatDouble;
+using support::BlockWriter;
 using support::xmlEscape;
 
 GanttChart
@@ -81,39 +81,34 @@ writeGanttSvg(const GanttChart &chart, std::ostream &out,
                (t - chart.window.begin) / span * plot_w;
     };
 
-    out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
-        << formatDouble(options.width) << "\" height=\""
-        << formatDouble(height) << "\" viewBox=\"0 0 "
-        << formatDouble(options.width) << ' ' << formatDouble(height)
-        << "\">\n";
-    out << "  <rect width=\"100%\" height=\"100%\" fill=\""
-        << palette::background.hex() << "\"/>\n";
+    BlockWriter w(out);
+    w << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
+      << options.width << "\" height=\"" << height << "\" viewBox=\"0 0 "
+      << options.width << ' ' << height << "\">\n";
+    w << "  <rect width=\"100%\" height=\"100%\" fill=\""
+      << palette::background.hex() << "\"/>\n";
     if (!options.title.empty()) {
-        out << "  <text x=\"12\" y=\"20\" font-family=\"sans-serif\" "
-               "font-size=\"14\" fill=\"#111\">"
-            << xmlEscape(options.title) << "</text>\n";
+        w << "  <text x=\"12\" y=\"20\" font-family=\"sans-serif\" "
+             "font-size=\"14\" fill=\"#111\">"
+          << xmlEscape(options.title) << "</text>\n";
     }
 
     for (std::size_t r = 0; r < chart.rows.size(); ++r) {
         const GanttRow &row = chart.rows[r];
         double y = header + double(r) * options.rowHeight;
-        out << "  <text x=\"4\" y=\""
-            << formatDouble(y + options.rowHeight * 0.7)
-            << "\" font-family=\"sans-serif\" font-size=\"9\" "
-               "fill=\"#333\">"
-            << xmlEscape(row.label) << "</text>\n";
+        w << "  <text x=\"4\" y=\"" << (y + options.rowHeight * 0.7)
+          << "\" font-family=\"sans-serif\" font-size=\"9\" "
+             "fill=\"#333\">"
+          << xmlEscape(row.label) << "</text>\n";
         for (const GanttBar &bar : row.bars) {
             double x1 = time_to_x(bar.begin);
             double x2 = time_to_x(bar.end);
-            out << "  <rect x=\"" << formatDouble(x1) << "\" y=\""
-                << formatDouble(y + 2) << "\" width=\""
-                << formatDouble(std::max(x2 - x1, 0.5))
-                << "\" height=\""
-                << formatDouble(options.rowHeight - 4) << "\" fill=\""
-                << bar.color.hex() << "\" fill-opacity=\"0.9\"><title>"
-                << xmlEscape(bar.state) << " ["
-                << formatDouble(bar.begin) << ", "
-                << formatDouble(bar.end) << ")</title></rect>\n";
+            w << "  <rect x=\"" << x1 << "\" y=\"" << (y + 2)
+              << "\" width=\"" << std::max(x2 - x1, 0.5) << "\" height=\""
+              << (options.rowHeight - 4) << "\" fill=\"" << bar.color.hex()
+              << "\" fill-opacity=\"0.9\"><title>" << xmlEscape(bar.state)
+              << " [" << bar.begin << ", " << bar.end
+              << ")</title></rect>\n";
         }
     }
 
@@ -121,20 +116,17 @@ writeGanttSvg(const GanttChart &chart, std::ostream &out,
     double axis_y = header + double(chart.rows.size()) *
                                  options.rowHeight +
                     12.0;
-    out << "  <line x1=\"" << formatDouble(options.labelWidth)
-        << "\" y1=\"" << formatDouble(axis_y) << "\" x2=\""
-        << formatDouble(options.labelWidth + plot_w) << "\" y2=\""
-        << formatDouble(axis_y)
-        << "\" stroke=\"#333\" stroke-width=\"1\"/>\n";
+    w << "  <line x1=\"" << options.labelWidth << "\" y1=\"" << axis_y
+      << "\" x2=\"" << (options.labelWidth + plot_w) << "\" y2=\""
+      << axis_y << "\" stroke=\"#333\" stroke-width=\"1\"/>\n";
     for (int tick = 0; tick <= 4; ++tick) {
         double t = chart.window.begin + span * tick / 4.0;
-        out << "  <text x=\"" << formatDouble(time_to_x(t)) << "\" y=\""
-            << formatDouble(axis_y + 10)
-            << "\" font-family=\"sans-serif\" font-size=\"8\" "
-               "text-anchor=\"middle\" fill=\"#333\">"
-            << formatDouble(t) << "</text>\n";
+        w << "  <text x=\"" << time_to_x(t) << "\" y=\"" << (axis_y + 10)
+          << "\" font-family=\"sans-serif\" font-size=\"8\" "
+             "text-anchor=\"middle\" fill=\"#333\">"
+          << t << "</text>\n";
     }
-    out << "</svg>\n";
+    w << "</svg>\n";
 }
 
 support::Expected<void>

@@ -24,7 +24,7 @@ namespace obs = support::obs;
 namespace
 {
 
-using support::formatDouble;
+using support::BlockWriter;
 
 struct Rect
 {
@@ -223,48 +223,42 @@ void
 writeTreemapSvg(const Treemap &treemap, std::ostream &out,
                 const std::string &title)
 {
-    out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
-        << formatDouble(treemap.width) << "\" height=\""
-        << formatDouble(treemap.height) << "\" viewBox=\"0 0 "
-        << formatDouble(treemap.width) << ' '
-        << formatDouble(treemap.height) << "\">\n";
-    out << "  <rect width=\"100%\" height=\"100%\" fill=\""
-        << palette::background.hex() << "\"/>\n";
+    BlockWriter w(out);
+    w << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
+      << treemap.width << "\" height=\"" << treemap.height
+      << "\" viewBox=\"0 0 " << treemap.width << ' ' << treemap.height
+      << "\">\n";
+    w << "  <rect width=\"100%\" height=\"100%\" fill=\""
+      << palette::background.hex() << "\"/>\n";
 
     for (const TreemapCell &cell : treemap.cells) {
+        w << "  <rect x=\"" << cell.x << "\" y=\"" << cell.y
+          << "\" width=\"" << cell.width << "\" height=\"" << cell.height;
         if (cell.leaf) {
-            out << "  <rect x=\"" << formatDouble(cell.x) << "\" y=\""
-                << formatDouble(cell.y) << "\" width=\""
-                << formatDouble(cell.width) << "\" height=\""
-                << formatDouble(cell.height) << "\" fill=\""
-                << cell.color.hex()
-                << "\" fill-opacity=\"0.8\" stroke=\"#ffffff\" "
-                   "stroke-width=\"0.6\"><title>"
-                << support::xmlEscape(cell.label) << " = " << formatDouble(cell.value)
-                << "</title></rect>\n";
+            w << "\" fill=\"" << cell.color.hex()
+              << "\" fill-opacity=\"0.8\" stroke=\"#ffffff\" "
+                 "stroke-width=\"0.6\"><title>"
+              << support::xmlEscape(cell.label) << " = " << cell.value
+              << "</title></rect>\n";
         } else {
-            out << "  <rect x=\"" << formatDouble(cell.x) << "\" y=\""
-                << formatDouble(cell.y) << "\" width=\""
-                << formatDouble(cell.width) << "\" height=\""
-                << formatDouble(cell.height)
-                << "\" fill=\"none\" stroke=\"#333333\" "
-                   "stroke-width=\"1.2\"/>\n";
+            w << "\" fill=\"none\" stroke=\"#333333\" "
+                 "stroke-width=\"1.2\"/>\n";
             if (cell.width > 60 && cell.height > 16) {
-                out << "  <text x=\"" << formatDouble(cell.x + 3)
-                    << "\" y=\"" << formatDouble(cell.y + 12)
-                    << "\" font-family=\"sans-serif\" font-size=\"10\" "
-                       "fill=\"#333\">"
-                    << support::xmlEscape(cell.label) << "</text>\n";
+                w << "  <text x=\"" << (cell.x + 3) << "\" y=\""
+                  << (cell.y + 12)
+                  << "\" font-family=\"sans-serif\" font-size=\"10\" "
+                     "fill=\"#333\">"
+                  << support::xmlEscape(cell.label) << "</text>\n";
             }
         }
     }
 
     if (!title.empty()) {
-        out << "  <text x=\"12\" y=\"20\" font-family=\"sans-serif\" "
-               "font-size=\"14\" fill=\"#111\">"
-            << support::xmlEscape(title) << "</text>\n";
+        w << "  <text x=\"12\" y=\"20\" font-family=\"sans-serif\" "
+             "font-size=\"14\" fill=\"#111\">"
+          << support::xmlEscape(title) << "</text>\n";
     }
-    out << "</svg>\n";
+    w << "</svg>\n";
 }
 
 support::Expected<void>

@@ -19,6 +19,7 @@
 #include "sim/tracer.hh"
 #include "support/strings.hh"
 #include "trace/builder.hh"
+#include "viz/chart.hh"
 #include "viz/gantt.hh"
 #include "viz/scene.hh"
 #include "viz/svg.hh"
@@ -649,6 +650,82 @@ TEST(Gantt, SvgOutput)
     EXPECT_NE(out.str().find("timeline"), std::string::npos);
     EXPECT_NE(out.str().find("busy"), std::string::npos);
     EXPECT_NE(out.str().find("<line"), std::string::npos);  // axis
+}
+
+// --- renderer bytes ---------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a over a rendered document: pins its exact bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(RendererBytes, ChartIsPinned)
+{
+    vt::Trace trace = vt::makeFigure1Trace();
+    auto power = trace.findMetric("power");
+    std::vector<vv::ChartSeries> series{
+        vv::sampleSeries(trace, trace.findByName("HostA"), power,
+                         {0.0, 12.0}, 37),
+        vv::sampleSeries(trace, trace.root(), power, {0.0, 12.0}, 37)};
+    vv::ChartOptions options;
+    options.title = "power <history> & more";
+    options.yLabel = "MFlops";
+    options.width = 777.5;
+    std::ostringstream out;
+    vv::writeChartSvg(series, out, options);
+    EXPECT_EQ(out.str().size(), 4537u);
+    EXPECT_EQ(fnv1a(out.str()), 7812131153697232907ull);
+}
+
+TEST(RendererBytes, GanttIsPinned)
+{
+    vt::TraceBuilder b;
+    std::vector<vt::ContainerId> hosts;
+    for (int h = 0; h < 9; ++h)
+        hosts.push_back(b.host("host-" + std::to_string(h)));
+    vt::Trace &t = b.trace();
+    for (int h = 0; h < 9; ++h)
+        for (int k = 0; k < 12; ++k)
+            t.addState(hosts[std::size_t(h)], k / 3.0 + h * 0.07,
+                       k / 3.0 + h * 0.07 + 0.29,
+                       k % 3 == 0   ? "compute"
+                       : k % 3 == 1 ? "send"
+                                    : "<wait>");
+    vt::Trace trace = b.take();
+    vv::GanttChart chart = vv::buildGantt(trace, {0.1, 3.7});
+    vv::GanttSvgOptions options;
+    options.title = "timeline & rows";
+    std::ostringstream out;
+    vv::writeGanttSvg(chart, out, options);
+    EXPECT_EQ(out.str().size(), 18275u);
+    EXPECT_EQ(fnv1a(out.str()), 8215243960672097351ull);
+}
+
+TEST(RendererBytes, TreemapIsPinned)
+{
+    // The Grid'5000 hierarchy: a document of several output blocks.
+    vp::Platform p = vp::makeGrid5000();
+    vt::Trace t;
+    vp::mirrorPlatform(p, t);
+    t.ensureClosure();
+    vv::Treemap map = vv::buildTreemap(t, t.findMetric("power"),
+                                       {0.0, 1.0}, vv::TreemapOptions());
+    std::ostringstream out;
+    vv::writeTreemapSvg(map, out, "grid <5000>");
+    EXPECT_EQ(out.str().size(), 480253u);
+    EXPECT_EQ(fnv1a(out.str()), 3698066770862734702ull);
 }
 
 // --- session / commands plumbing ----------------------------------------------------

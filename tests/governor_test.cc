@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -222,6 +223,29 @@ TEST(Governor, ZeroBudgetDisablesDegradation)
     EXPECT_EQ(s.cut().visibleCount(), visible);
     EXPECT_EQ(s.degradationCount(), 0u);
 }
+TEST(Governor, MoveAbortPutsBackTheDragAndTheLayout)
+{
+    ExpiredClockFixture clock;
+    vap::Session s(vt::makeFigure1Trace());
+    s.setOperationDeadline(1);
+    const std::uint64_t digest = s.stateDigest();
+    const std::uint64_t aborts = s.deadlineAbortCount();
+
+    std::optional<vs::Error> aborted;
+    EXPECT_FALSE(s.moveNode("HostA", 500.0, 500.0, &aborted));
+    ASSERT_TRUE(aborted.has_value());
+    EXPECT_EQ(aborted->code(), vs::Errc::Deadline);
+    EXPECT_EQ(s.stateDigest(), digest);
+    EXPECT_EQ(s.deadlineAbortCount(), aborts + 1);
+
+    // Disarmed, the same drag commits and moves the node.
+    s.setOperationDeadline(0);
+    std::optional<vs::Error> none;
+    EXPECT_TRUE(s.moveNode("HostA", 500.0, 500.0, &none));
+    EXPECT_FALSE(none.has_value());
+    EXPECT_NE(s.stateDigest(), digest);
+}
+
 
 // --- observability -------------------------------------------------------------
 
@@ -284,4 +308,23 @@ TEST(GovernorCommands, StabilizeCommandSurfacesTheDeadlineError)
     EXPECT_FALSE(cli.execute("stabilize 50", err));
     EXPECT_NE(err.str().find("deadline"), std::string::npos);
     EXPECT_EQ(s.stateDigest(), digest);
+}
+
+TEST(GovernorCommands, MoveCommandSurfacesTheDeadlineError)
+{
+    ExpiredClockFixture clock;
+    vap::Session s(vt::makeFigure1Trace());
+    vap::CommandInterpreter cli(s);
+    s.setOperationDeadline(1);
+    const std::uint64_t digest = s.stateDigest();
+
+    std::ostringstream err;
+    EXPECT_FALSE(cli.execute("move HostA 500 500", err));
+    EXPECT_NE(err.str().find("deadline"), std::string::npos) << err.str();
+    EXPECT_EQ(err.str().find("not a visible node"), std::string::npos);
+    EXPECT_EQ(s.stateDigest(), digest);
+
+    std::ostringstream missing;
+    EXPECT_FALSE(cli.execute("move nope 1 1", missing));
+    EXPECT_NE(missing.str().find("not a visible node"), std::string::npos);
 }

@@ -303,6 +303,27 @@ const char *kPajePrefix =
     "% Name string\n"
     "%EndEventDef\n";
 
+/** kPajePrefix plus a variable type, a host "c1" and PajeSetVariable
+ * (event 4: Time, Type, Container, Value). */
+std::string
+pajeVariablePrefix()
+{
+    return std::string(kPajePrefix) +
+           "%EventDef PajeDefineVariableType 2\n"
+           "% Alias string\n"
+           "% Type string\n"
+           "% Name string\n"
+           "%EndEventDef\n"
+           "%EventDef PajeSetVariable 4\n"
+           "% Time date\n"
+           "% Type string\n"
+           "% Container string\n"
+           "% Value double\n"
+           "%EndEventDef\n"
+           "2 v0 0 \"power\"\n"
+           "1 0 c1 host 0 \"h\"\n";
+}
+
 } // namespace
 
 TEST(ReadPajeErrors, MalformedEventDef)
@@ -358,21 +379,7 @@ TEST(ReadPajeErrors, NonFiniteVariableValue)
 {
     // The Paje point record: a value out of range parses to inf and is
     // refused like an unparseable one.
-    const std::string prefix =
-        std::string(kPajePrefix) +
-        "%EventDef PajeDefineVariableType 2\n"
-        "% Alias string\n"
-        "% Type string\n"
-        "% Name string\n"
-        "%EndEventDef\n"
-        "%EventDef PajeSetVariable 4\n"
-        "% Time date\n"
-        "% Type string\n"
-        "% Container string\n"
-        "% Value double\n"
-        "%EndEventDef\n"
-        "2 v0 0 \"power\"\n"
-        "1 0 c1 host 0 \"h\"\n";
+    const std::string prefix = pajeVariablePrefix();
     expectParse(rejectPaje(prefix + "4 1 v0 c1 1e400\n"),
                 "PajeSetVariable needs fields");
     expectParse(rejectPaje(prefix + "4 1 v0 c1 -1e400\n"),
@@ -381,6 +388,31 @@ TEST(ReadPajeErrors, NonFiniteVariableValue)
     auto accepted = vt::readPajeTrace(in);
     ASSERT_TRUE(accepted.ok()) << accepted.error().toString();
     EXPECT_EQ(accepted.value().eventCount, 3u);
+}
+
+TEST(ReadPajeErrors, NonFiniteOrUnparseableTime)
+{
+    // A Time that is out of range, infinite, NaN or not a number is
+    // refused; it would otherwise put a point at t = inf or silently
+    // at t = 0.
+    const std::string prefix = pajeVariablePrefix();
+    for (const char *time : {"1e400", "-1e400", "inf", "-inf", "nan",
+                             "x", "1.5s", "0x"}) {
+        SCOPED_TRACE(time);
+        expectParse(rejectPaje(prefix + "4 " + time + " v0 c1 5\n"),
+                    "PajeSetVariable has a bad Time");
+    }
+    expectParse(rejectPaje(std::string(kPajePrefix) +
+                           "1 later c1 host 0 \"h\"\n"),
+                "PajeCreateContainer has a bad Time 'later'");
+
+    // An underflowing Time reads as 0 and is kept.
+    std::istringstream in(prefix + "4 1e-400 v0 c1 5\n4 2 v0 c1 6\n");
+    auto accepted = vt::readPajeTrace(in);
+    ASSERT_TRUE(accepted.ok()) << accepted.error().toString();
+    EXPECT_EQ(accepted.value().eventCount, 4u);
+    EXPECT_EQ(accepted.value().trace.span().begin, 0.0);
+    EXPECT_EQ(accepted.value().trace.span().end, 2.0);
 }
 
 TEST(ReadPajeErrors, MissingPajeFileYieldsIoError)

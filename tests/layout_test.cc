@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numbers>
+#include <span>
 
 #include "layout/force.hh"
 #include "layout/graph.hh"
 #include "layout/metrics.hh"
 #include "layout/quadtree.hh"
 #include "support/random.hh"
+#include "quadtree_oracle.hh"
 
 namespace vl = viva::layout;
 
@@ -365,6 +370,178 @@ TEST(QuadTreeArena, EmptyBuildIsWellFormed)
     vl::Vec2 f = tree.forceAt({0.5, 0.5}, 0.8);
     EXPECT_DOUBLE_EQ(f.x, 0.0);
     EXPECT_DOUBLE_EQ(f.y, 0.0);
+}
+
+// --- the one-pass build against the recursive reference -------------------------
+
+namespace
+{
+
+using Bodies = std::vector<vl::QuadTree::Body>;
+
+/**
+ * Build `bodies` into a tree that already holds another build (so a
+ * reused arena or sort buffer cannot hide stale state) and check the
+ * arena byte for byte, and the body order, against the reference.
+ */
+void
+expectMatchesOracle(vl::Vec2 lo, vl::Vec2 hi, const Bodies &bodies)
+{
+    static_assert(sizeof(vl::QuadTree::Cell) == 5 * sizeof(double),
+                  "a padded cell would make the byte comparison flaky");
+    vl::QuadTree tree;
+    tree.build({-1.0, -1.0}, {501.0, 501.0}, randomBodies(3, 900));
+    tree.build(lo, hi, bodies);
+    const viva::oracle::QuadTreeImage ref =
+        viva::oracle::buildQuadTree(lo, hi, bodies);
+
+    ASSERT_EQ(tree.arena().size(), ref.cells.size());
+    for (std::size_t c = 0; c < ref.cells.size(); ++c)
+        ASSERT_EQ(std::memcmp(&tree.arena()[c], &ref.cells[c],
+                              sizeof(vl::QuadTree::Cell)),
+                  0)
+            << "cell " << c << " of " << ref.cells.size();
+    ASSERT_EQ(tree.bodyOrder().size(), ref.order.size());
+    EXPECT_TRUE(std::equal(ref.order.begin(), ref.order.end(),
+                           tree.bodyOrder().begin()));
+    EXPECT_TRUE(tree.auditInvariants().empty());
+}
+
+} // namespace
+
+TEST(QuadTreeOracle, UniformBodies)
+{
+    expectMatchesOracle({-1.0, -1.0}, {501.0, 501.0},
+                        randomBodies(41, 4000));
+}
+
+TEST(QuadTreeOracle, ClusteredBodies)
+{
+    // Tight clusters of very different spreads: long single-child
+    // chains above each cluster, dense branching inside it.
+    viva::support::Rng rng(43);
+    Bodies bodies;
+    const double spreads[] = {1e-6, 1e-3, 0.5, 20.0};
+    for (int k = 0; k < 12; ++k) {
+        vl::Vec2 centre{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+        double spread = spreads[k % 4];
+        for (int i = 0; i < 150; ++i)
+            bodies.push_back({{centre.x + rng.uniform(-spread, spread),
+                               centre.y + rng.uniform(-spread, spread)},
+                              rng.uniform(0.5, 4.0)});
+    }
+    expectMatchesOracle({-30.0, -30.0}, {1030.0, 1030.0}, bodies);
+}
+
+TEST(QuadTreeOracle, CoincidentBodies)
+{
+    // Bodies drawn from a small pool of positions: groups sharing a
+    // code sit next to single bodies and to other groups.
+    viva::support::Rng rng(47);
+    Bodies pool = randomBodies(53, 60);
+    Bodies bodies;
+    for (int i = 0; i < 400; ++i)
+        bodies.push_back({pool[rng.index(pool.size())].position,
+                          rng.uniform(0.5, 4.0)});
+    expectMatchesOracle({-1.0, -1.0}, {501.0, 501.0}, bodies);
+}
+
+TEST(QuadTreeOracle, BodiesAtTheMortonResolution)
+{
+    // Steps around the 2^-21 cell size of the unit box, some far below
+    // it, plus bodies outside the box that clamp onto its edges.
+    Bodies bodies;
+    const double steps[] = {1e-13, 1e-7, 4.76837158203125e-07, 2e-6};
+    for (int row = 0; row < 4; ++row)
+        for (int i = 0; i < 20; ++i)
+            bodies.push_back(
+                {{0.5 + double(i) * steps[row], 0.25 * (row + 0.5)},
+                 1.0 + 0.125 * i});
+    bodies.push_back({{-3.0, 0.5}, 2.0});
+    bodies.push_back({{0.5, 7.0}, 2.0});
+    bodies.push_back({{9.0, 9.0}, 1.0});
+    bodies.push_back({{1.0, 1.0}, 1.0});
+    expectMatchesOracle({0.0, 0.0}, {1.0, 1.0}, bodies);
+}
+
+TEST(QuadTreeOracle, OneAndTwoBodies)
+{
+    expectMatchesOracle({0.0, 0.0}, {1.0, 1.0}, {{{0.3, 0.7}, 2.5}});
+    expectMatchesOracle({0.0, 0.0}, {1.0, 1.0},
+                        {{{0.3, 0.7}, 2.5}, {{0.3, 0.7}, 1.5}});
+    expectMatchesOracle({0.0, 0.0}, {1.0, 1.0},
+                        {{{0.3, 0.7}, 2.5}, {{0.30001, 0.7}, 1.5}});
+}
+
+namespace
+{
+
+/** forceAt with only the exact opening test, over the tree's arena. */
+vl::Vec2
+referenceField(const vl::QuadTree &tree, vl::Vec2 position, double theta)
+{
+    vl::Vec2 total;
+    std::span<const vl::QuadTree::Cell> cells = tree.arena();
+    for (std::size_t c = 0; c < cells.size();) {
+        const vl::QuadTree::Cell &cell = cells[c];
+        vl::Vec2 d = position - cell.bary;
+        double dist = std::sqrt(d.norm2());
+        bool accept = dist > 1e-9 && cell.size / dist < theta;
+        if (cell.bodies != 0 && dist >= 1e-9)
+            total += d * (cell.charge / (dist * dist * dist));
+        else if (cell.bodies == 0 && accept) {
+            total += d * (cell.charge / (dist * dist * dist));
+            c = cell.skip.index();
+            continue;
+        }
+        ++c;
+    }
+    return total;
+}
+
+} // namespace
+
+TEST(QuadTreeOracle, OpeningTestAtTheThetaBoundary)
+{
+    // Quadrant 0 of the unit box is a cell of size 0.5 with its
+    // barycentre at (0.25, 0.25); at theta 0.5 it is accepted exactly
+    // when the query is farther than 1.0 from it. Queries on that
+    // boundary in many directions, a hundred ulps either side of it,
+    // and inside and just outside the 1e-9 band of the squared
+    // shortcuts must sum the same terms as the exact test alone.
+    Bodies bodies{{{0.125, 0.125}, 1.0}, {{0.375, 0.375}, 1.0},
+                  {{0.9, 0.8}, 2.0}};
+    vl::QuadTree tree;
+    tree.build({0.0, 0.0}, {1.0, 1.0}, bodies);
+    const double theta = 0.5, size = 0.5;
+    const vl::Vec2 bary{0.25, 0.25};
+
+    std::vector<vl::Vec2> queries;
+    for (int a = 0; a < 32; ++a) {
+        const double angle = a * std::numbers::pi / 64.0;
+        const vl::Vec2 dir{std::cos(angle), std::sin(angle)};
+        for (int k = -100; k <= 100; ++k)
+            queries.push_back(bary + dir * (1.0 + k * 0x1p-52));
+        for (double rel : {-2e-9, -1e-9, -9e-10, -5e-10, -1e-10, 1e-10,
+                           5e-10, 9e-10, 1e-9, 2e-9})
+            queries.push_back(bary + dir * (1.0 + rel));
+    }
+    // The sweep must reach the rounding band, where comparing squares
+    // without a margin disagrees with the exact test.
+    int disagreements = 0;
+    for (vl::Vec2 q : queries) {
+        const double d2 = (q - bary).norm2();
+        const bool exact = size / std::sqrt(d2) < theta;
+        disagreements += (size * size < theta * theta * d2) != exact;
+    }
+    EXPECT_GT(disagreements, 0);
+
+    for (vl::Vec2 q : queries) {
+        vl::Vec2 got = tree.forceAt(q, theta);
+        vl::Vec2 want = referenceField(tree, q, theta);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "query (" << q.x << ", " << q.y << ")";
+    }
 }
 
 // --- ForceLayout ------------------------------------------------------------------

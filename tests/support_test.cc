@@ -64,17 +64,8 @@ TEST(Strings, Trim)
     EXPECT_EQ(vs::trim("abc"), "abc");
 }
 
-TEST(Strings, Join)
+TEST(Strings, EndsWith)
 {
-    EXPECT_EQ(vs::join({"a", "b", "c"}, "/"), "a/b/c");
-    EXPECT_EQ(vs::join({}, "/"), "");
-    EXPECT_EQ(vs::join({"x"}, ", "), "x");
-}
-
-TEST(Strings, StartsEndsWith)
-{
-    EXPECT_TRUE(vs::startsWith("grid5000/lyon", "grid5000"));
-    EXPECT_FALSE(vs::startsWith("grid", "grid5000"));
     EXPECT_TRUE(vs::endsWith("trace.viva", ".viva"));
     EXPECT_FALSE(vs::endsWith("a", "ab"));
 }
